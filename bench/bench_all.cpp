@@ -1,28 +1,34 @@
-// Unified benchmark driver: executes every simulated figure/ablation
-// sweep (src/runner/bench_points.hpp) through the parallel SweepRunner
-// and emits both the human tables and a machine-readable
-// BENCH_results.json trajectory (schema: docs/BENCHMARKS.md).
+// The one sweep binary: executes the simulated figure, ablation and
+// system suites of the registry (src/runner/suites.hpp) through the
+// parallel SweepRunner, emits the human tables and a machine-readable
+// BENCH_results.json trajectory (schema: docs/BENCHMARKS.md), and then
+// runs every selected suite's acceptance gate.
 //
 // Usage:
 //   bench_all [--threads=N] [--points=full|reduced] [--suite=NAME]
-//             [--out=PATH] [--check-digests] [--list]
+//             [--out=PATH] [--check-digests] [--check-floor] [--list]
 //
 //   --threads=N       pool size (default: hardware concurrency; 1 = the
-//                     serial reference execution)
+//                     serial reference execution).  Suites that time
+//                     wall-clock speedups (engine_scaling) always run
+//                     one point at a time, after the pooled points.
 //   --points=reduced  CI-sized grid — every suite, small problems
-//   --suite=NAME      run only the points of one suite (exact match,
-//                     e.g. fig_scaling_topology)
+//   --suite=NAME      run only one suite (exact match, e.g. collectives)
 //   --out=PATH        JSON output path (default BENCH_results.json;
 //                     "-" suppresses the file)
-//   --check-digests   after the pooled sweep, re-run every point on one
-//                     thread and fail (exit 1) unless every pooled
-//                     digest, simulated time, and counter matches its
-//                     serial re-run — the concurrent-isolation gate CI
-//                     enforces
+//   --check-digests   after the sweep, re-run every point on one thread
+//                     and fail (exit 1) unless every pooled digest,
+//                     simulated time, trace-record and event count, and
+//                     counter matches its serial re-run — the
+//                     concurrent-isolation gate CI enforces
+//   --check-floor     also run the opt-in wall-clock gates: the
+//                     parallel engine's >= 1.6x @ 4 threads speedup floor
 //   --list            print the point set and exit
 //
-// Every point is digest-deterministic, so the JSON (wall-clock fields
-// aside) is byte-identical across runs and thread counts.
+// Every suite gate (host cost, tail latency, failover recovery) runs
+// after the sweep and fails the run (exit 1) on any violation.  Every
+// point is digest-deterministic, so the JSON (wall-clock fields aside)
+// is byte-identical across runs and thread counts.
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -32,7 +38,7 @@
 
 #include "common/table.hpp"
 #include "runner/bench_json.hpp"
-#include "runner/bench_points.hpp"
+#include "runner/suites.hpp"
 #include "runner/sweep.hpp"
 
 using namespace acc;
@@ -43,6 +49,7 @@ struct Options {
   std::size_t threads = 0;  // 0 = hardware concurrency
   bool reduced = false;
   bool check_digests = false;
+  bool check_floor = false;
   bool list = false;
   std::string suite;  // empty = every suite
   std::string out = "BENCH_results.json";
@@ -63,6 +70,8 @@ bool parse_args(int argc, char** argv, Options& opts) {
       opts.out = arg.substr(6);
     } else if (arg == "--check-digests") {
       opts.check_digests = true;
+    } else if (arg == "--check-floor") {
+      opts.check_floor = true;
     } else if (arg == "--list") {
       opts.list = true;
     } else {
@@ -73,45 +82,57 @@ bool parse_args(int argc, char** argv, Options& opts) {
   return true;
 }
 
-void print_suite_tables(const std::vector<runner::RunRecord>& results) {
-  std::vector<std::string> suites;
-  for (const auto& r : results) {
-    bool seen = false;
-    for (const auto& s : suites) seen = seen || s == r.suite;
-    if (!seen) suites.push_back(r.suite);
+/// The records of one suite, in submission order.
+std::vector<runner::RunRecord> records_of(
+    const runner::Suite& suite, const std::vector<runner::RunRecord>& all) {
+  std::vector<runner::RunRecord> out;
+  for (const auto& r : all) {
+    if (r.suite == suite.name) out.push_back(r);
   }
-  for (const auto& suite : suites) {
-    print_banner(suite);
-    Table table(
-        {"point", "sim (ms)", "speedup", "digest", "wall (ms)", "Mev/s"});
-    for (const auto& r : results) {
-      if (r.suite != suite) continue;
-      table.row().add(r.name);
-      if (!r.ok) {
-        table.add("ERROR: " + r.error).skip().skip();
+  return out;
+}
+
+void print_suite_table(const runner::Suite& suite,
+                       const std::vector<runner::RunRecord>& records) {
+  print_banner(suite.name);
+  std::vector<std::string> headers = {"point",     "sim (ms)", "speedup",
+                                      "digest",    "wall (ms)", "Mev/s"};
+  for (const auto& c : suite.columns) headers.push_back(c.header);
+  Table table(headers);
+  for (const auto& r : records) {
+    table.row().add(r.name);
+    if (!r.ok) {
+      table.add("ERROR: " + r.error);
+      continue;
+    }
+    table.add(r.metrics.sim_time.as_millis(), 2);
+    if (r.metrics.speedup != 0.0) {
+      table.add(r.metrics.speedup, 2);
+    } else {
+      table.skip();
+    }
+    table.add(runner::digest_hex(r.metrics.digest)).add(r.wall_ms, 1);
+    if (r.events_per_sec() > 0.0) {
+      table.add(r.events_per_sec() / 1e6, 2);
+    } else {
+      table.skip();
+    }
+    for (const auto& c : suite.columns) {
+      const std::int64_t v = r.counter(c.counter);
+      if (c.decimals == 0) {
+        table.add(v);
       } else {
-        table.add(r.metrics.sim_time.as_millis(), 2);
-        if (r.metrics.speedup != 0.0) {
-          table.add(r.metrics.speedup, 2);
-        } else {
-          table.skip();
-        }
-        table.add(runner::digest_hex(r.metrics.digest));
-      }
-      table.add(r.wall_ms, 1);
-      if (r.events_per_sec() > 0.0) {
-        table.add(r.events_per_sec() / 1e6, 2);
-      } else {
-        table.skip();
+        table.add(static_cast<double>(v) * c.scale, c.decimals);
       }
     }
-    table.print();
   }
+  table.print();
 }
 
 /// Compares the pooled sweep against a serial re-run of the same points:
-/// digests, simulated times, and every captured counter must match
-/// bit-for-bit (the concurrent-isolation contract).  Returns mismatches.
+/// digests, simulated times, trace-record and event counts, and every
+/// captured counter must match bit-for-bit (the concurrent-isolation
+/// contract).  Returns mismatches.
 int compare_against_serial(const std::vector<runner::RunPoint>& points,
                            const std::vector<runner::RunRecord>& pooled) {
   std::puts("\n== digest check: re-running every point serially ==");
@@ -152,17 +173,23 @@ int main(int argc, char** argv) {
   Options opts;
   if (!parse_args(argc, argv, opts)) return 2;
 
-  auto points = runner::figure_sweep_points(opts.reduced);
-  if (!opts.suite.empty()) {
-    std::vector<runner::RunPoint> kept;
-    for (auto& p : points) {
-      if (p.suite == opts.suite) kept.push_back(std::move(p));
+  std::vector<const runner::Suite*> selected;
+  for (const auto& s : runner::suites()) {
+    if (opts.suite.empty() || opts.suite == s.name) selected.push_back(&s);
+  }
+  if (selected.empty()) {
+    std::fprintf(stderr, "no suite named %s\n", opts.suite.c_str());
+    return 2;
+  }
+  // Submission order is suite order; `alone` marks the points of serial
+  // suites, which run one at a time after the pool has drained.
+  std::vector<runner::RunPoint> points;
+  std::vector<bool> alone;
+  for (const runner::Suite* s : selected) {
+    for (auto& p : s->points(opts.reduced)) {
+      points.push_back(std::move(p));
+      alone.push_back(s->serial);
     }
-    if (kept.empty()) {
-      std::fprintf(stderr, "no points in suite %s\n", opts.suite.c_str());
-      return 2;
-    }
-    points = std::move(kept);
   }
   if (opts.list) {
     for (const auto& p : points) {
@@ -171,13 +198,27 @@ int main(int argc, char** argv) {
     return 0;
   }
 
+  std::vector<runner::RunPoint> pooled_points;
+  std::vector<runner::RunPoint> alone_points;
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    (alone[i] ? alone_points : pooled_points).push_back(points[i]);
+  }
   runner::SweepRunner pool(opts.threads);
   print_banner("bench_all: " + std::to_string(points.size()) + " points (" +
                std::string(opts.reduced ? "reduced" : "full") + ") on " +
-               std::to_string(pool.threads()) + " threads");
-  const auto results = pool.run(points);
+               std::to_string(pool.threads()) + " threads, " +
+               std::to_string(alone_points.size()) + " of them alone");
+  runner::SweepRunner one(/*threads=*/1);
+  const auto pooled = pool.run(pooled_points);
+  const auto by_itself = one.run(alone_points);
+  std::vector<runner::RunRecord> results;
+  for (std::size_t i = 0, p = 0, a = 0; i < points.size(); ++i) {
+    results.push_back(alone[i] ? by_itself[a++] : pooled[p++]);
+  }
 
-  print_suite_tables(results);
+  for (const runner::Suite* s : selected) {
+    print_suite_table(*s, records_of(*s, results));
+  }
 
   int failed = 0;
   double points_wall_ms = 0.0;
@@ -193,7 +234,8 @@ int main(int argc, char** argv) {
                    r.name.c_str(), r.error.c_str());
     }
   }
-  const double sweep_wall_ms = pool.last_sweep_wall_ms();
+  const double sweep_wall_ms =
+      pool.last_sweep_wall_ms() + one.last_sweep_wall_ms();
   std::printf(
       "\nsweep: %zu points, %.0f ms wall (sum of points %.0f ms, pool "
       "speedup %.2fx on %zu threads)\n",
@@ -225,5 +267,11 @@ int main(int argc, char** argv) {
   if (opts.check_digests) {
     mismatches = compare_against_serial(points, results);
   }
-  return (failed || mismatches) ? 1 : 0;
+
+  int gate_failures = 0;
+  for (const runner::Suite* s : selected) {
+    if (s->gate) gate_failures += s->gate(records_of(*s, results));
+    if (opts.check_floor && s->floor) gate_failures += s->floor();
+  }
+  return (failed || mismatches || gate_failures) ? 1 : 0;
 }

@@ -70,8 +70,9 @@ void write_point(std::ostream& os, const RunRecord& r,
   os << indent << "  \"wall_ns\": " << r.wall_ns << ",\n";
   os << indent << "  \"events\": " << r.metrics.events << ",\n";
   os << indent << "  \"events_per_sec\": " << number(r.events_per_sec());
-  // Schema v4: parallel-engine scaling fields, emitted only for points
-  // that ran on the window scheduler so v3-era points are byte-stable.
+  // Parallel-engine fields (v4 threads and efficiency, v5 shards),
+  // emitted only for points that ran on the window scheduler so v3-era
+  // points are byte-stable.
   if (r.metrics.threads > 1) {
     os << ",\n" << indent << "  \"threads\": " << r.metrics.threads;
   }
@@ -79,6 +80,15 @@ void write_point(std::ostream& os, const RunRecord& r,
     os << ",\n"
        << indent
        << "  \"scaling_efficiency\": " << number(r.metrics.scaling_efficiency);
+  }
+  if (!r.metrics.shards.empty()) {
+    os << ",\n" << indent << "  \"shards\": [";
+    for (std::size_t i = 0; i < r.metrics.shards.size(); ++i) {
+      if (i) os << ", ";
+      os << "{\"events\": " << r.metrics.shards[i].events
+         << ", \"wall_ns\": " << r.metrics.shards[i].wall_ns << "}";
+    }
+    os << "]";
   }
   if (r.metrics.latency.present) {
     const LatencySummary& l = r.metrics.latency;
@@ -116,7 +126,7 @@ std::string digest_hex(std::uint64_t digest) {
 void write_bench_json(std::ostream& os, const std::vector<RunRecord>& results,
                       const BenchJsonMeta& meta) {
   os << "{\n";
-  os << "  \"schema\": \"acc-bench-results/v4\",\n";
+  os << "  \"schema\": \"acc-bench-results/v5\",\n";
   os << "  \"point_set\": \"" << escaped(meta.point_set) << "\",\n";
   os << "  \"threads\": " << meta.threads << ",\n";
   os << "  \"sweep_wall_ms\": " << number(meta.sweep_wall_ms) << ",\n";

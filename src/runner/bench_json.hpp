@@ -3,7 +3,7 @@
 // Schema (docs/BENCHMARKS.md is the authoritative description):
 //
 //   {
-//     "schema": "acc-bench-results/v4",
+//     "schema": "acc-bench-results/v5",
 //     "point_set": "full" | "reduced",
 //     "threads": <pool size>,
 //     "sweep_wall_ms": <whole-sweep wall clock>,
@@ -18,10 +18,12 @@
 //             "wall_ms": <point wall clock, ms>,
 //             "wall_ns": <same measurement, integer nanoseconds>,
 //             "events":  <engine events executed>,
-//             "events_per_sec": <host dispatch throughput, events/wall>,
+//             "events_per_sec": <events ÷ this point's wall_ns>,
 //             "threads": <engine worker threads; omitted when 1>,
 //             "scaling_efficiency": <speedup over the point's 1-thread
 //                                    run ÷ threads; omitted when n/a>,
+//             "shards": [ {"events": <int>, "wall_ns": <busy ns>}, ... ],
+//                                   // parallel-engine points only
 //             "latency": {                  // serving points only
 //               "count":   <completed requests>,
 //               "p50_ns":  <nearest-rank percentile, ns>,
@@ -44,16 +46,17 @@
 // trace::LatencyHistogram of serving-style points) and pins down that
 // non-finite floating-point values serialize as `null`, never inf/nan
 // (which are not JSON).  v4 adds the optional parallel-engine fields
-// `threads` and `scaling_efficiency` (sim/parallel.hpp window scheduler;
-// for points with engine threads > 1, events_per_sec aggregates shard
-// events over the slowest shard's busy time — see
-// runner::RunRecord::events_per_sec()); points that ran serially emit
-// byte-identical objects to v3.  Digests are hex *strings* because a 64-bit
-// value does not survive a round-trip through JSON numbers.  Suites,
-// points, and params keep the submission order of the sweep, which
-// SweepRunner guarantees is deterministic — so two runs of the same
-// point set produce byte-identical files apart from the wall-clock
-// fields.
+// `threads` and `scaling_efficiency` (sim/parallel.hpp window
+// scheduler).  v5 makes events_per_sec mean what it says for every
+// point — events over the point's own wall_ns — where v4 divided a
+// parallel point's events by its slowest shard's busy time, and adds the
+// per-LP-shard stats as their own optional `shards` array.  Points that
+// ran serially emit byte-identical objects to v3.  Digests are hex
+// *strings* because a 64-bit value does not survive a round-trip
+// through JSON numbers.  Suites, points, and params keep the submission
+// order of the sweep, which SweepRunner guarantees is deterministic — so
+// two runs of the same point set produce byte-identical files apart
+// from the wall-clock fields.
 #pragma once
 
 #include <iosfwd>

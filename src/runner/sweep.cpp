@@ -41,6 +41,20 @@ RunRecord execute(const RunPoint& point) {
 
 }  // namespace
 
+std::int64_t RunRecord::counter(std::string_view name) const {
+  for (const auto& [key, value] : metrics.counters) {
+    if (key == name) return value;
+  }
+  return 0;
+}
+
+std::string RunRecord::param(std::string_view name) const {
+  for (const auto& [key, value] : params) {
+    if (key == name) return value;
+  }
+  return "";
+}
+
 SweepRunner::SweepRunner(std::size_t threads) : threads_(threads) {
   if (threads_ == 0) {
     threads_ = std::thread::hardware_concurrency();

@@ -22,6 +22,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -52,9 +53,8 @@ struct LatencySummary {
 
 /// Per-LP-shard execution stats a parallel-engine point reports back
 /// (sim::ParallelEngine::shard_stats()).  `wall_ns` is the shard's busy
-/// time summed over windows, not the run's elapsed time: shards execute
-/// concurrently, so the run is bounded by the slowest shard, and
-/// RunRecord::events_per_sec() accounts for that.
+/// time summed over windows, not the run's elapsed time; it is reported
+/// as its own BENCH_results.json field and never feeds events_per_sec().
 struct ShardSummary {
   std::uint64_t events = 0;
   std::uint64_t wall_ns = 0;
@@ -74,8 +74,7 @@ struct RunMetrics {
   /// scaling point).  Emitted into BENCH_results.json v4 when set.
   double scaling_efficiency = 0.0;
   /// Per-LP-shard stats when the point ran on the parallel engine
-  /// (empty for serial runs).  When present, events_per_sec() aggregates
-  /// from these instead of the record's single wall-clock measurement.
+  /// (empty for serial runs).
   std::vector<ShardSummary> shards;
   /// (name, value) pairs in a body-chosen, deterministic order; used for
   /// extra table columns and the serial-vs-pooled counter comparison.
@@ -110,33 +109,19 @@ struct RunRecord {
   bool ok = false;
   std::string error;  // what() of the escaped exception when !ok
 
-  /// Host events/sec this point achieved (0 when unmeasurable: a failed
-  /// point, an untimed record, or a body that executed no events).
-  ///
-  /// Parallel-engine points (metrics.shards non-empty) aggregate as
-  /// total shard events ÷ the slowest shard's busy time: shards run
-  /// concurrently, so summing their wall times would under-report a
-  /// well-balanced run by the LP count.  Degenerate shard sets (no
-  /// events, or stats too fast for the clock to resolve) fall back to
-  /// the record-level measurement rather than dividing by zero.
+  /// Host events/sec this point achieved: events over the record's own
+  /// wall clock (0 for a failed point, an untimed record, or a body that
+  /// executed no events).
   double events_per_sec() const {
-    if (!ok) return 0.0;
-    if (!metrics.shards.empty()) {
-      std::uint64_t total_events = 0;
-      std::uint64_t critical_ns = 0;
-      for (const ShardSummary& s : metrics.shards) {
-        total_events += s.events;
-        if (s.wall_ns > critical_ns) critical_ns = s.wall_ns;
-      }
-      if (total_events > 0 && critical_ns > 0) {
-        return static_cast<double>(total_events) * 1e9 /
-               static_cast<double>(critical_ns);
-      }
-    }
-    if (wall_ns == 0 || metrics.events == 0) return 0.0;
+    if (!ok || wall_ns == 0 || metrics.events == 0) return 0.0;
     return static_cast<double>(metrics.events) * 1e9 /
            static_cast<double>(wall_ns);
   }
+
+  /// The named counter's value (0 when the body did not report it).
+  std::int64_t counter(std::string_view name) const;
+  /// The named param's value ("" when the point has no such param).
+  std::string param(std::string_view name) const;
 };
 
 class SweepRunner {

@@ -127,8 +127,8 @@ class ParallelEngine {
 
   /// Per-shard execution telemetry from the last run(): events executed
   /// by the shard and the summed wall-clock nanoseconds its windows took.
-  /// Feeds runner::RunMetrics::shards — parallel events/sec aggregates
-  /// as sum(events) / max(wall_ns), never the double-counting sum/sum.
+  /// Feeds runner::RunMetrics::shards (the `shards` array of
+  /// BENCH_results.json).
   struct ShardStats {
     std::uint64_t events = 0;
     std::uint64_t wall_ns = 0;

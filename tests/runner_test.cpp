@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -19,7 +20,7 @@
 #include "apps/fft_app.hpp"
 #include "apps/sort_app.hpp"
 #include "runner/bench_json.hpp"
-#include "runner/bench_points.hpp"
+#include "runner/suites.hpp"
 #include "runner/sweep.hpp"
 
 namespace acc {
@@ -101,19 +102,135 @@ TEST(SweepRunner, IdenticalPointsSideBySideStayIsolated) {
   for (const auto& r : results) expect_identical(r, reference[0]);
 }
 
+/// The registry's reduced grid, run pooled and serially once per process
+/// — the work `bench_all --points=reduced --check-digests` does.
+struct ReducedSweep {
+  std::vector<RunPoint> points;
+  std::vector<RunRecord> pooled;
+  std::vector<RunRecord> serial;
+};
+
+const ReducedSweep& reduced_sweep() {
+  static const ReducedSweep sweep = [] {
+    ReducedSweep s;
+    for (const auto& suite : runner::suites()) {
+      for (auto& p : suite.points(/*reduced=*/true)) {
+        s.points.push_back(std::move(p));
+      }
+    }
+    s.pooled = SweepRunner(/*threads=*/4).run(s.points);
+    s.serial = SweepRunner(/*threads=*/1).run(s.points);
+    return s;
+  }();
+  return sweep;
+}
+
 TEST(SweepRunner, FigureSweepPointsReproduceSeriallyWhenPooled) {
-  // The real bench_all point set, reduced grid — the same gate CI
-  // applies via `bench_all --points=reduced --check-digests`.
-  const auto points = runner::figure_sweep_points(/*reduced=*/true);
-  ASSERT_GT(points.size(), 10u);
-  const auto pooled = SweepRunner(/*threads=*/4).run(points);
-  const auto serial = SweepRunner(/*threads=*/1).run(points);
-  for (std::size_t i = 0; i < points.size(); ++i) {
+  const ReducedSweep& sweep = reduced_sweep();
+  ASSERT_GT(sweep.points.size(), 10u);
+  for (std::size_t i = 0; i < sweep.points.size(); ++i) {
 #ifndef ACC_TRACE_DISABLED
-    ASSERT_GT(serial[i].metrics.trace_records, 0u) << serial[i].name;
+    ASSERT_GT(sweep.serial[i].metrics.trace_records, 0u)
+        << sweep.serial[i].name;
 #endif
-    expect_identical(pooled[i], serial[i]);
+    expect_identical(sweep.pooled[i], sweep.serial[i]);
   }
+}
+
+// ---------------------------------------------------------------------
+// Suite registry and gates
+// ---------------------------------------------------------------------
+
+const runner::Suite& suite_named(const std::string& name) {
+  for (const auto& suite : runner::suites()) {
+    if (suite.name == name) return suite;
+  }
+  throw std::out_of_range("no suite " + name);
+}
+
+std::vector<RunRecord> reduced_records(const std::string& suite) {
+  std::vector<RunRecord> out;
+  for (const auto& r : reduced_sweep().serial) {
+    if (r.suite == suite) out.push_back(r);
+  }
+  return out;
+}
+
+/// The first record whose params include every (key, value) pair.
+RunRecord* record_with(
+    std::vector<RunRecord>& records,
+    const std::vector<std::pair<std::string, std::string>>& params) {
+  for (auto& r : records) {
+    bool match = true;
+    for (const auto& [key, value] : params) match &= r.param(key) == value;
+    if (match) return &r;
+  }
+  return nullptr;
+}
+
+void set_counter(RunRecord& r, const std::string& name, std::int64_t value) {
+  for (auto& [key, v] : r.metrics.counters) {
+    if (key == name) v = value;
+  }
+}
+
+TEST(Suites, NamesAreUniqueAndMatchTheirPoints) {
+  std::set<std::string> names;
+  for (const auto& suite : runner::suites()) {
+    EXPECT_TRUE(names.insert(suite.name).second) << suite.name;
+    for (const bool reduced : {true, false}) {
+      const auto points = suite.points(reduced);
+      EXPECT_FALSE(points.empty()) << suite.name;
+      for (const auto& p : points) EXPECT_EQ(p.suite, suite.name) << p.name;
+    }
+  }
+}
+
+TEST(Suites, EveryGatePassesOnTheReducedGrid) {
+  int gates = 0;
+  for (const auto& suite : runner::suites()) {
+    if (suite.gate == nullptr) continue;
+    ++gates;
+    const auto records = reduced_records(suite.name);
+    ASSERT_FALSE(records.empty()) << suite.name;
+    EXPECT_EQ(suite.gate(records), 0) << suite.name;
+  }
+  EXPECT_EQ(gates, 3);
+}
+
+TEST(Suites, TailGateFailsWhenNicP99TiesHostUnderLoss) {
+  auto records = reduced_records("serving_tail");
+  RunRecord* nic = record_with(records, {{"plane", "nic"}, {"chaos", "loss30"}});
+  ASSERT_NE(nic, nullptr);
+  const RunRecord* host =
+      record_with(records, {{"plane", "host"},
+                            {"topology", nic->param("topology")},
+                            {"rate_hz", nic->param("rate_hz")},
+                            {"chaos", "loss30"}});
+  ASSERT_NE(host, nullptr);
+  nic->metrics.latency.p99_ns = host->metrics.latency.p99_ns;
+  EXPECT_EQ(suite_named("serving_tail").gate(records), 1);
+}
+
+TEST(Suites, HostCostGateFailsWhenNicCpuEventsTieHost) {
+  auto records = reduced_records("collectives");
+  RunRecord* nic = record_with(records, {{"collective_backend", "nic"}});
+  ASSERT_NE(nic, nullptr);
+  const RunRecord* host =
+      record_with(records, {{"collective_backend", "host"},
+                            {"topology", nic->param("topology")},
+                            {"P", nic->param("P")}});
+  ASSERT_NE(host, nullptr);
+  set_counter(*nic, "host_cpu_events", host->counter("host_cpu_events"));
+  EXPECT_EQ(suite_named("collectives").gate(records), 1);
+}
+
+TEST(Suites, RecoveryGateFailsWithFewerEpochsThanCuts) {
+  auto records = reduced_records("failover_recovery");
+  ASSERT_FALSE(records.empty());
+  RunRecord& r = records.front();
+  set_counter(r, "route_epochs", std::stoll(r.param("cuts")) - 1);
+  EXPECT_EQ(suite_named("failover_recovery").gate(records), 1);
 }
 
 // ---------------------------------------------------------------------
@@ -180,7 +297,7 @@ TEST(BenchJson, NonFiniteNumbersSerializeAsNull) {
   EXPECT_NE(json.find("\"wall_ms\": null"), std::string::npos) << json;
 }
 
-TEST(BenchJson, SchemaV4EmitsLatencyObjectOnlyWhenPresent) {
+TEST(BenchJson, SchemaV5EmitsLatencyObjectOnlyWhenPresent) {
   RunRecord with;
   with.suite = "s";
   with.name = "serving";
@@ -200,7 +317,7 @@ TEST(BenchJson, SchemaV4EmitsLatencyObjectOnlyWhenPresent) {
   std::ostringstream os;
   runner::write_bench_json(os, {with, without}, {});
   const std::string json = os.str();
-  EXPECT_NE(json.find("\"schema\": \"acc-bench-results/v4\""),
+  EXPECT_NE(json.find("\"schema\": \"acc-bench-results/v5\""),
             std::string::npos);
   EXPECT_NE(json.find("\"latency\": {\"count\": 128, \"p50_ns\": 1000, "
                       "\"p99_ns\": 9000, \"p999_ns\": 12000, "
@@ -229,59 +346,50 @@ TEST(RunRecord, EventsPerSecGuardsDegenerateRecords) {
   EXPECT_DOUBLE_EQ(r.events_per_sec(), 1e6);
 }
 
-TEST(RunRecord, EventsPerSecAggregatesParallelShards) {
-  // A parallel-engine point reports per-LP shard stats; throughput is
-  // total events over the *slowest* shard's busy time (shards run
-  // concurrently — summing their wall times would under-report a
-  // balanced run by the shard count).
+TEST(RunRecord, EventsPerSecIgnoresShardBusyTime) {
+  // A parallel-engine point's throughput is its events over its own wall
+  // clock, barrier and mailbox time included; the per-shard busy times
+  // are reported beside it and never divided into it.
   RunRecord r;
   r.ok = true;
-  r.wall_ns = 8000000;       // record-level wall includes barrier overhead
+  r.wall_ns = 8000000;
   r.metrics.events = 3000;
   r.metrics.shards = {{1000, 1000000}, {1500, 2000000}, {500, 500000}};
-  // 3000 events over the 2 ms critical shard.
-  EXPECT_DOUBLE_EQ(r.events_per_sec(), 1.5e6);
-  r.ok = false;
-  EXPECT_EQ(r.events_per_sec(), 0.0);
-  r.ok = true;
-  // Degenerate shard sets fall back to the record-level measurement
-  // instead of dividing by zero: all-zero busy times (clock too coarse)
-  // and zero-event shards both.
-  r.metrics.shards = {{1000, 0}, {2000, 0}};
-  EXPECT_DOUBLE_EQ(r.events_per_sec(),
-                   3000.0 * 1e9 / static_cast<double>(r.wall_ns));
-  r.metrics.shards = {{0, 1000000}, {0, 2000000}};
-  EXPECT_DOUBLE_EQ(r.events_per_sec(),
-                   3000.0 * 1e9 / static_cast<double>(r.wall_ns));
-  // Degenerate shards AND a degenerate record: no division anywhere.
+  EXPECT_DOUBLE_EQ(r.events_per_sec(), 3000.0 * 1e9 / 8e6);
   r.wall_ns = 0;
   EXPECT_EQ(r.events_per_sec(), 0.0);
 }
 
-TEST(BenchJson, SchemaV4EmitsScalingFieldsOnlyForParallelPoints) {
+TEST(BenchJson, SchemaV5EmitsParallelFieldsOnlyForParallelPoints) {
   RunRecord parallel;
   parallel.suite = "s";
   parallel.name = "par";
   parallel.ok = true;
   parallel.metrics.threads = 4;
   parallel.metrics.scaling_efficiency = 0.525;
+  parallel.metrics.shards = {{1000, 1000000}, {2000, 3000000}};
   RunRecord serial;
   serial.suite = "s";
   serial.name = "ser";
-  serial.ok = true;  // defaults: threads = 1, no efficiency
+  serial.ok = true;  // defaults: threads = 1, no efficiency, no shards
   std::ostringstream os;
   runner::write_bench_json(os, {parallel, serial}, {});
   const std::string json = os.str();
   EXPECT_NE(json.find("\"threads\": 4"), std::string::npos) << json;
   EXPECT_NE(json.find("\"scaling_efficiency\": 0.525"), std::string::npos)
       << json;
+  EXPECT_NE(json.find("\"shards\": [{\"events\": 1000, \"wall_ns\": 1000000}, "
+                      "{\"events\": 2000, \"wall_ns\": 3000000}]"),
+            std::string::npos)
+      << json;
   // Exactly one point-level "threads" (the top-level meta field is the
-  // sweep pool size, always present) and one efficiency field: the
-  // serial point emits neither.
+  // sweep pool size, always present), one efficiency field and one
+  // shards array: the serial point emits none of them.
   EXPECT_EQ(json.find("\"scaling_efficiency\""),
             json.rfind("\"scaling_efficiency\""))
       << json;
   EXPECT_EQ(json.find("\"threads\": 4"), json.rfind("\"threads\": 4")) << json;
+  EXPECT_EQ(json.find("\"shards\""), json.rfind("\"shards\"")) << json;
 }
 
 // ---------------------------------------------------------------------
