@@ -17,7 +17,7 @@ namespace {
 
 Time stream_time(inic::InicConfig cfg, int offload_rounds) {
   sim::Engine eng;
-  net::Network network(eng, 2);
+  net::Fabric network(eng, 2);
   hw::Node a(eng, 0), b(eng, 1);
   inic::InicCard card_a(a, network, cfg), card_b(b, network, cfg);
 

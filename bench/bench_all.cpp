@@ -215,6 +215,7 @@ int main(int argc, char** argv) {
   for (std::size_t i = 0, p = 0, a = 0; i < points.size(); ++i) {
     results.push_back(alone[i] ? by_itself[a++] : pooled[p++]);
   }
+  runner::derive_thread_scaling(results);
 
   for (const runner::Suite* s : selected) {
     print_suite_table(*s, records_of(*s, results));

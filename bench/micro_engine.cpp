@@ -21,7 +21,6 @@
 
 #include "common/rng.hpp"
 #include "common/units.hpp"
-#include "net/lp_workload.hpp"
 #include "sim/engine.hpp"
 #include "sim/parallel.hpp"
 
@@ -351,35 +350,8 @@ void BM_NewEngine_CancelHeavy(benchmark::State& state) {
 BENCHMARK(BM_NewEngine_CancelHeavy)->Arg(1 << 12)->Arg(1 << 16);
 
 // ---------------------------------------------------------------------
-// Parallel engine: LP-partitioned fabric traffic across worker counts
+// Parallel engine: window-scheduler overhead
 // ---------------------------------------------------------------------
-
-/// Window-scheduler scaling on the real topology-derived workload
-/// (net/lp_workload.hpp): the same seeded traffic at 1/2/4 workers, so
-/// the reported items_per_second trajectory is the per-thread scaling
-/// curve the engine_scaling suite gates on.  Every run's digest is
-/// thread-count independent — this benchmark folds it into a sink, not
-/// an assertion (tests/parallel_scaling_test.cpp owns that check).
-void BM_ParallelEngine_LpFabric(benchmark::State& state) {
-  const auto threads = static_cast<std::size_t>(state.range(0));
-  net::LpWorkloadConfig cfg;
-  cfg.topology = net::TopologyConfig::fat_tree(3);
-  cfg.hosts = 128;  // k = 8: 80 switch LPs
-  cfg.frames_per_host = 16;
-  cfg.switch_work = 512;
-  std::uint64_t digest_sink = 0;
-  std::uint64_t events = 0;
-  for (auto _ : state) {
-    const net::LpWorkloadResult r = net::run_lp_workload(cfg, threads);
-    digest_sink ^= r.digest;
-    events = r.events;
-  }
-  benchmark::DoNotOptimize(digest_sink);
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(events));
-}
-BENCHMARK(BM_ParallelEngine_LpFabric)->Arg(1)->Arg(2)->Arg(4)
-    ->Unit(benchmark::kMillisecond);
 
 /// Barrier overhead in isolation: many near-empty windows (one event per
 /// LP per window, negligible per-event work), so the cost measured is

@@ -42,7 +42,7 @@ apps::ClusterOptions failover_options(apps::CollectiveBackend backend) {
 
 /// First interior link incident to host 0's attach switch — traffic off
 /// the switch is guaranteed to cross it, so cutting it forces failover.
-std::pair<int, int> first_uplink(net::Network& net) {
+std::pair<int, int> first_uplink(net::Fabric& net) {
   const auto& plan = net.plan();
   const int sw = plan.hosts.front().sw;
   for (const auto& port : plan.switches[static_cast<std::size_t>(sw)].ports) {

@@ -29,7 +29,7 @@ namespace {
 constexpr std::size_t kNodes = 16;
 constexpr std::size_t kElements = 4096;  // 32 KiB of doubles
 
-std::string route_string(net::Network& net, int src, int dst) {
+std::string route_string(net::Fabric& net, int src, int dst) {
   std::string s = "host" + std::to_string(src);
   for (int sw : net.route(src, dst)) {
     s += " -> sw" + std::to_string(sw);
@@ -48,7 +48,7 @@ int main() {
     copts.topology = net::TopologyConfig::fat_tree(/*levels=*/2);
     apps::SimCluster cluster(kNodes, apps::Interconnect::kInicIdeal,
                              model::default_calibration(), copts);
-    net::Network& net = cluster.network();
+    net::Fabric& net = cluster.network();
     std::printf("fat tree:  %s, %zu switches\n",
                 net::describe_topology(copts.topology, kNodes).c_str(),
                 net.switch_count());

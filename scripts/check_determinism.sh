@@ -69,12 +69,12 @@ aslr_wrap() {
 # kv_serving the open-loop serving workload (Poisson arrivals, Zipf
 # keys, per-request latency histogram, with a sustained bursty-loss
 # storm on both transport planes), and parallel_engine_demo the
-# window-scheduled parallel engine (the LP-partitioned fabric workload
-# and the SimCluster engine_threads facade, each executed at 1/2/4/8
-# worker threads inside one process; the binary exits non-zero if any
-# thread count diverges, and its digest lines let this script compare
-# the same runs across environments) — together covering the healthy,
-# faulted, multi-hop, on-card-collective, failover, serving and
+# window-scheduled parallel engine (a SimCluster ring on a 64-host fat
+# tree, sharded across 16 switch LPs, executed at 1/2/4/8 engine
+# threads inside one process; the binary exits non-zero if a sharded
+# digest or the end time diverges, and its digest lines let this script
+# compare the same runs across environments) — together covering the
+# healthy, faulted, multi-hop, on-card-collective, failover, serving and
 # parallel-engine parts of the determinism contract (docs/FAULTS.md,
 # docs/NETWORK.md, docs/COLLECTIVES.md, docs/SERVING.md,
 # docs/ENGINE.md).

@@ -115,8 +115,7 @@ SimCluster::SimCluster(std::size_t n, Interconnect ic,
   // >= 2 on a multi-switch fabric with no cross-LP-mutating features
   // partitions the cluster — one LP per switch, hosts on their edge
   // switch's LP.  Everything else (star, adaptive routing, degraded
-  // fallback) keeps the serial-identical facade: run() then adopts eng_
-  // as a single LP, which is bit-identical to plain eng_.run().
+  // fallback) runs the serial engine.
   const bool want_shard = opts_.engine_threads >= 2 &&
                           !opts_.adaptive_routing &&
                           !(is_inic(ic) && opts_.degraded_fallback);
@@ -163,10 +162,10 @@ SimCluster::SimCluster(std::size_t n, Interconnect ic,
   }
 
   if (parallel_) {
-    network_ = std::make_unique<net::Network>(*parallel_, partition_, n,
-                                              net_cfg);
+    network_ = std::make_unique<net::Fabric>(*parallel_, partition_, n,
+                                             net_cfg);
   } else {
-    network_ = std::make_unique<net::Network>(eng_, n, net_cfg);
+    network_ = std::make_unique<net::Fabric>(eng_, n, net_cfg);
   }
 
   // Pre-size the event heap from the materialized topology: per-node
@@ -236,11 +235,11 @@ SimCluster::SimCluster(std::size_t n, Interconnect ic,
     // resize there would move slots out from under concurrent readers.
     collective_engines_.resize(n);
     if (opts_.degraded_fallback) {
-      // Degraded-mode plane: its own switch (Network::attach allows one
+      // Degraded-mode plane: its own switch (Fabric::attach allows one
       // endpoint per port), standard NICs and TCP stacks on the same
       // nodes, and a pump per node forwarding completed TCP deliveries
       // into the card inbox so receivers are transport-agnostic.
-      fallback_net_ = std::make_unique<net::Network>(eng_, n, net_cfg);
+      fallback_net_ = std::make_unique<net::Fabric>(eng_, n, net_cfg);
       net::NicConfig nic_cfg;
       nic_cfg.interrupts.max_frames = cal.interrupt_coalesce_frames;
       nic_cfg.interrupts.timeout = cal.interrupt_coalesce_timeout;
@@ -292,17 +291,7 @@ SimCluster::SimCluster(std::size_t n, Interconnect ic,
 Time SimCluster::run() {
   // LP-sharded: the persistent window scheduler built at construction —
   // device models already live on their LPs.
-  if (parallel_) return parallel_->run();
-  if (opts_.engine_threads <= 1) return eng_.run();
-  // Single-shard facade (star topology, adaptive routing, or degraded
-  // fallback asked for threads anyway): the cluster's engine is LP 0 of
-  // a window-scheduled run, the conservative loop degenerates to one
-  // full-horizon window — bit-identical dispatch, bit-identical digest,
-  // for any thread count.
-  sim::ParallelConfig cfg;
-  cfg.threads = opts_.engine_threads;
-  sim::ParallelEngine parallel({&eng_}, cfg);
-  return parallel.run();
+  return parallel_ ? parallel_->run() : eng_.run();
 }
 
 void SimCluster::enable_tracing(std::size_t ring_capacity) {

@@ -100,8 +100,8 @@ struct ClusterOptions {
   /// identical counter totals (docs/TRACING.md), and the counter totals
   /// equal the serial run's — pinned by tests/parallel_scaling_test.cpp.
   /// Configurations the partition cannot honour (single-switch star,
-  /// adaptive routing, degraded fallback) transparently run the serial
-  /// facade regardless of this value.
+  /// adaptive routing, degraded fallback) run the serial engine
+  /// regardless of this value.
   std::size_t engine_threads = 1;
 };
 
@@ -140,13 +140,11 @@ class SimCluster {
     return parallel_ ? &partition_ : nullptr;
   }
 
-  /// Runs the simulation to completion honouring
-  /// options().engine_threads: the classic serial dispatch loop at <= 1;
-  /// at >= 2 the conservative window scheduler over the topology-derived
-  /// LP partition (or a single adopted LP 0 when the configuration
-  /// cannot shard — star fabric, adaptive routing, degraded fallback —
-  /// which stays bit-identical to serial).  Returns the final simulated
-  /// time.
+  /// Runs the simulation to completion: the conservative window
+  /// scheduler over the topology-derived LP partition when sharded()
+  /// (options().engine_threads >= 2 on a configuration that can shard),
+  /// the classic serial dispatch loop otherwise.  Returns the final
+  /// simulated time.
   Time run();
 
   /// Enables tracing on every LP lane (just the main engine's when
@@ -188,7 +186,7 @@ class SimCluster {
   Interconnect interconnect() const { return ic_; }
 
   hw::Node& node(std::size_t i) { return *nodes_.at(i); }
-  net::Network& network() { return *network_; }
+  net::Fabric& network() { return *network_; }
   proto::TcpStack& tcp(std::size_t i) { return *tcp_.at(i); }
   inic::InicCard& card(std::size_t i) { return *cards_.at(i); }
   const model::Calibration& calibration() const { return cal_; }
@@ -239,7 +237,7 @@ class SimCluster {
   net::LpPartition partition_;
   std::vector<std::unique_ptr<sim::Engine>> shard_engines_;
   std::unique_ptr<sim::ParallelEngine> parallel_;
-  std::unique_ptr<net::Network> network_;
+  std::unique_ptr<net::Fabric> network_;
   std::vector<std::unique_ptr<hw::Node>> nodes_;
   std::vector<std::unique_ptr<net::StandardNic>> nics_;
   std::vector<std::unique_ptr<proto::TcpStack>> tcp_;
@@ -247,7 +245,7 @@ class SimCluster {
   // Degraded-mode plane (INIC + degraded_fallback only): a second switch
   // with standard NICs and TCP stacks, plus pump processes forwarding
   // fallback deliveries into the card inboxes.
-  std::unique_ptr<net::Network> fallback_net_;
+  std::unique_ptr<net::Fabric> fallback_net_;
   std::vector<std::unique_ptr<net::StandardNic>> fallback_nics_;
   std::vector<std::unique_ptr<proto::TcpStack>> fallback_tcp_;
   std::vector<std::unique_ptr<sim::Process>> fallback_pumps_;

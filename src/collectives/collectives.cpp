@@ -58,7 +58,7 @@ CollectiveResult topology_allreduce(apps::SimCluster& cluster,
 
 std::vector<std::size_t> hop_ordered_ranks(apps::SimCluster& cluster,
                                            std::size_t root) {
-  net::Network& net = cluster.network();
+  net::Fabric& net = cluster.network();
   std::vector<std::size_t> order(cluster.size());
   std::iota(order.begin(), order.end(), std::size_t{0});
   std::swap(order[0], order[root]);

@@ -81,7 +81,7 @@ void FaultInjector::fire(int node, const char* name, std::int64_t value) {
 
 void FaultInjector::arm() {
   sim::Engine& eng = cluster_.engine();
-  net::Network& net = cluster_.network();
+  net::Fabric& net = cluster_.network();
 
   for (const auto& w : plan_.link_down) {
     eng.schedule_at(w.start, [this, &net, w] {

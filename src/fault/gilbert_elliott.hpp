@@ -1,6 +1,6 @@
 // Gilbert–Elliott bursty-loss channel model.
 //
-// Uniform i.i.d. loss (Network::set_random_loss) is the wrong stressor
+// Uniform i.i.d. loss (Fabric::set_random_loss) is the wrong stressor
 // for go-back-N style recovery: real link faults arrive in bursts (a
 // flapping transceiver, an overloaded switch ASIC, EMI), which is exactly
 // the regime where a retransmit window either saves a run or collapses

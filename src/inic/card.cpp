@@ -16,7 +16,7 @@ std::uint64_t stream_key(int src, std::uint32_t msg_id) {
 
 }  // namespace
 
-InicCard::InicCard(hw::Node& node, net::Network& network,
+InicCard::InicCard(hw::Node& node, net::Fabric& network,
                    const InicConfig& cfg)
     : node_(node),
       network_(network),

@@ -72,7 +72,7 @@ class InicCard : public net::Endpoint {
   /// Transform applied by the FPGA to a message payload in-stream.
   using Transform = std::function<std::any(std::any)>;
 
-  InicCard(hw::Node& node, net::Network& network, const InicConfig& cfg);
+  InicCard(hw::Node& node, net::Fabric& network, const InicConfig& cfg);
 
   // ------------------------------------------------------------------
   // Send side
@@ -223,7 +223,7 @@ class InicCard : public net::Endpoint {
   Bytes bytes_to_host() const { return Bytes(bytes_to_host_.value()); }
   const InicConfig& config() const { return cfg_; }
   hw::Node& node() { return node_; }
-  net::Network& network() { return network_; }
+  net::Fabric& network() { return network_; }
 
  private:
   struct MsgHeader {
@@ -292,7 +292,7 @@ class InicCard : public net::Endpoint {
   void wake_flush_waiters(int dst);
 
   hw::Node& node_;
-  net::Network& network_;
+  net::Fabric& network_;
   InicConfig cfg_;
 
   sim::FifoResource host_dma_;  // host <-> card stream (both directions)

@@ -41,7 +41,7 @@ Fabric::Fabric(sim::Engine& eng, sim::ParallelEngine* pe,
     throw std::invalid_argument(
         "Fabric: adaptive routing mutates next-port tables and link-health "
         "state shared by every switch; it is not supported on an LP-sharded "
-        "fabric (run the serial facade instead)");
+        "fabric (run it unsharded instead)");
   }
   if (part_ != nullptr && part_->lp_of_switch.size() != plan_.switches.size()) {
     throw std::invalid_argument(

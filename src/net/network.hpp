@@ -163,10 +163,9 @@ class Switch {
   std::vector<OutPort> ports_;
 };
 
-/// The routed fabric.  `Network` remains an alias for source
-/// compatibility: a default-constructed config is a single star switch
-/// with the exact semantics (and trace stream) of the original flat
-/// model.
+/// The routed fabric.  A default-constructed config is a single star
+/// switch with the exact semantics (and trace stream) of the original
+/// flat model.
 class Fabric {
  public:
   Fabric(sim::Engine& eng, std::size_t ports, const NetworkConfig& cfg = {});
@@ -181,7 +180,7 @@ class Fabric {
   /// `pe` and `part` must outlive the fabric.  Fault hooks and adaptive
   /// routing mutate state across LPs and are rejected in this mode
   /// (std::logic_error / std::invalid_argument) — callers needing them
-  /// run the serial facade.
+  /// run unsharded.
   Fabric(sim::ParallelEngine& pe, const LpPartition& part, std::size_t ports,
          const NetworkConfig& cfg);
 
@@ -474,9 +473,5 @@ class Fabric {
   std::vector<LaneCounters> lane_counters_;  // one per LP (1 when serial)
   std::vector<LaneState> lanes_;             // one per LP (1 when serial)
 };
-
-/// The flat star network the rest of the tree grew up with is now the
-/// degenerate Fabric; every existing consumer keeps compiling.
-using Network = Fabric;
 
 }  // namespace acc::net

@@ -15,7 +15,7 @@ Time start_of(Time completion, Bytes size, Bandwidth rate) {
 
 }  // namespace
 
-StandardNic::StandardNic(hw::Node& node, Network& network,
+StandardNic::StandardNic(hw::Node& node, Fabric& network,
                          const NicConfig& cfg)
     : node_(node),
       network_(network),

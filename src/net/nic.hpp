@@ -36,7 +36,7 @@ class StandardNic : public Endpoint {
  public:
   using RxHandler = std::function<void(const Frame&)>;
 
-  StandardNic(hw::Node& node, Network& network, const NicConfig& cfg = {});
+  StandardNic(hw::Node& node, Fabric& network, const NicConfig& cfg = {});
 
   /// Installs the protocol receive upcall (runs after interrupt + DMA).
   void set_rx_handler(RxHandler handler) { rx_handler_ = std::move(handler); }
@@ -53,7 +53,7 @@ class StandardNic : public Endpoint {
   std::uint64_t frames_sent() const { return frames_sent_.value(); }
   std::uint64_t crc_drops() const { return crc_dropped_.value(); }
   hw::Node& node() { return node_; }
-  Network& network() { return network_; }
+  Fabric& network() { return network_; }
 
  private:
   struct PendingRx {
@@ -64,7 +64,7 @@ class StandardNic : public Endpoint {
   void deliver_batch_to_host(std::size_t packets);
 
   hw::Node& node_;
-  Network& network_;
+  Fabric& network_;
   NicConfig cfg_;
   sim::FifoResource tx_mac_;
   hw::InterruptCoalescer coalescer_;

@@ -4,8 +4,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <map>
-#include <mutex>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -22,7 +20,6 @@
 #include "model/calibration.hpp"
 #include "model/fft_model.hpp"
 #include "model/sort_model.hpp"
-#include "net/lp_workload.hpp"
 #include "net/topology.hpp"
 #include "runner/bench_json.hpp"
 #include "sim/process.hpp"
@@ -284,7 +281,7 @@ RunMetrics topology_metrics(const net::TopologyConfig& topo, std::size_t p) {
   if (!bar.verified || !bcast.verified || !red.verified) {
     throw std::runtime_error("topology collective failed verification");
   }
-  net::Network& net = cluster.network();
+  net::Fabric& net = cluster.network();
   std::int64_t link_frames_total = 0;
   std::int64_t link_frames_max = 0;
   std::int64_t link_peak_queue_max = 0;
@@ -390,7 +387,7 @@ apps::ClusterOptions failover_cluster_options(
 /// Interior links incident to host 0's attach switch, normalized and
 /// deduplicated — the cut candidates (host 0's off-switch traffic is
 /// guaranteed to cross one of them).
-std::vector<std::pair<int, int>> failover_cut_candidates(net::Network& net) {
+std::vector<std::pair<int, int>> failover_cut_candidates(net::Fabric& net) {
   const auto& plan = net.plan();
   const int sw = plan.hosts.front().sw;
   std::vector<std::pair<int, int>> links;
@@ -1017,69 +1014,8 @@ std::vector<RunPoint> topology_scaling_points(bool reduced) {
 }
 
 // ---------------------------------------------------------------------
-// Engine-scaling suite: the parallel event engine at 1/2/4 threads.
-// ---------------------------------------------------------------------
-
-/// Memoized 1-thread wall-clock baseline per workload shape: every
-/// threads=T point of a shape divides against the same serial
-/// measurement, so speedup / efficiency numbers are comparable within a
-/// sweep.  Thread-safe (the first caller runs the baseline while holding
-/// the lock; later callers reuse it), and wall-clock only — it never
-/// feeds a digest or counter.
-std::uint64_t scaling_baseline_wall_ns(const std::string& label,
-                                       const net::LpWorkloadConfig& cfg) {
-  static std::mutex mu;
-  static std::map<std::string, std::uint64_t> memo;
-  std::lock_guard<std::mutex> lock(mu);
-  auto it = memo.find(label);
-  if (it != memo.end()) return it->second;
-  const auto t0 = std::chrono::steady_clock::now();
-  (void)net::run_lp_workload(cfg, /*threads=*/1);
-  const auto wall = std::chrono::steady_clock::now() - t0;
-  const std::uint64_t ns = static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(wall).count());
-  memo.emplace(label, ns);
-  return ns;
-}
-
-RunMetrics engine_scaling_metrics(const std::string& label,
-                                  const net::LpWorkloadConfig& cfg,
-                                  std::size_t threads) {
-  const std::uint64_t base_ns = scaling_baseline_wall_ns(label, cfg);
-  const auto t0 = std::chrono::steady_clock::now();
-  const net::LpWorkloadResult r = net::run_lp_workload(cfg, threads);
-  const auto wall = std::chrono::steady_clock::now() - t0;
-  const std::uint64_t wall_ns = static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(wall).count());
-  RunMetrics m;
-  m.sim_time = r.sim_time;
-  m.digest = r.digest;
-  m.trace_records = r.trace_records;
-  m.events = r.events;
-  m.threads = threads;
-  m.shards.reserve(r.shards.size());
-  for (const auto& s : r.shards) {
-    m.shards.push_back(ShardSummary{s.events, s.wall_ns});
-  }
-  if (threads > 1 && wall_ns > 0 && base_ns > 0) {
-    m.speedup = static_cast<double>(base_ns) / static_cast<double>(wall_ns);
-    m.scaling_efficiency = m.speedup / static_cast<double>(threads);
-  }
-  // Everything here is a pure function of cfg — the serial-vs-pooled
-  // comparison in tests/runner_test.cpp checks these bit-for-bit.
-  m.counters = {
-      {"delivered", static_cast<std::int64_t>(r.delivered)},
-      {"hops", static_cast<std::int64_t>(r.hops)},
-      {"checksum", static_cast<std::int64_t>(r.checksum)},
-      {"windows", static_cast<std::int64_t>(r.windows)},
-      {"cross_posts", static_cast<std::int64_t>(r.cross_posts)},
-      {"lp_count", static_cast<std::int64_t>(r.lp_count)},
-  };
-  return m;
-}
-
-// ---------------------------------------------------------------------
-// SimCluster engine scaling: device models on per-switch LPs
+// Engine-scaling suite: SimCluster device models on per-switch LPs at
+// 1/2/4 threads.
 // ---------------------------------------------------------------------
 
 sim::Process cluster_scaling_sender(apps::SimCluster& cluster, int src,
@@ -1097,12 +1033,12 @@ sim::Process cluster_scaling_receiver(apps::SimCluster& cluster, int node,
 }
 
 /// One SimCluster engine-scaling run: a neighbour-ring INIC transfer
-/// workload on a fat-tree cluster with the full device models (cards,
-/// DMA, switch FIFOs) sharded across per-switch LPs when threads >= 2.
-/// Digest semantics follow docs/TRACING.md: threads <= 1 reports the
-/// historical serial digest; any threads >= 2 report one common sharded
-/// digest (per-lane frame ids), so floor checks compare wall clock
-/// 1-vs-4 but digests only among sharded runs.
+/// workload on a multi-switch cluster with the full device models
+/// (cards, DMA, switch FIFOs) sharded across per-switch LPs when
+/// threads >= 2.  Digest semantics follow docs/TRACING.md: threads <= 1
+/// reports the historical serial digest; any threads >= 2 report one
+/// common sharded digest (per-lane frame ids), so floor checks compare
+/// wall clock 1-vs-4 but digests only among sharded runs.
 struct ClusterScalingRun {
   Time sim_time = Time::zero();
   std::uint64_t digest = 0;
@@ -1114,10 +1050,11 @@ struct ClusterScalingRun {
   std::vector<ShardSummary> shards;  // empty for serial runs
 };
 
-ClusterScalingRun run_cluster_scaling_point(std::size_t hosts,
+ClusterScalingRun run_cluster_scaling_point(const net::TopologyConfig& topo,
+                                            std::size_t hosts,
                                             std::size_t threads) {
   apps::ClusterOptions copts;
-  copts.topology = net::TopologyConfig::fat_tree(3);
+  copts.topology = topo;
   copts.engine_threads = threads;
   apps::SimCluster cluster(hosts, apps::Interconnect::kInicIdeal,
                            model::default_calibration(), copts);
@@ -1155,30 +1092,12 @@ ClusterScalingRun run_cluster_scaling_point(std::size_t hosts,
   return out;
 }
 
-/// Memoized 1-thread wall-clock baseline for the SimCluster scaling
-/// points, same contract as scaling_baseline_wall_ns above.
-std::uint64_t cluster_scaling_baseline_wall_ns(std::size_t hosts) {
-  static std::mutex mu;
-  static std::map<std::size_t, std::uint64_t> memo;
-  std::lock_guard<std::mutex> lock(mu);
-  auto it = memo.find(hosts);
-  if (it != memo.end()) return it->second;
-  const auto t0 = std::chrono::steady_clock::now();
-  (void)run_cluster_scaling_point(hosts, /*threads=*/1);
-  const auto wall = std::chrono::steady_clock::now() - t0;
-  const std::uint64_t ns = static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(wall).count());
-  memo.emplace(hosts, ns);
-  return ns;
-}
-
-RunMetrics cluster_scaling_metrics(std::size_t hosts, std::size_t threads) {
-  const std::uint64_t base_ns = cluster_scaling_baseline_wall_ns(hosts);
-  const auto t0 = std::chrono::steady_clock::now();
-  const ClusterScalingRun r = run_cluster_scaling_point(hosts, threads);
-  const auto wall = std::chrono::steady_clock::now() - t0;
-  const std::uint64_t wall_ns = static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(wall).count());
+/// One point body: exactly one simulation, so the point's wall clock is
+/// that run's.  `speedup` and `scaling_efficiency` are filled after the
+/// sweep from the threads=1 sibling (runner::derive_thread_scaling).
+RunMetrics cluster_scaling_metrics(const net::TopologyConfig& topo,
+                                   std::size_t hosts, std::size_t threads) {
+  const ClusterScalingRun r = run_cluster_scaling_point(topo, hosts, threads);
   RunMetrics m;
   m.sim_time = r.sim_time;
   m.digest = r.digest;
@@ -1186,10 +1105,6 @@ RunMetrics cluster_scaling_metrics(std::size_t hosts, std::size_t threads) {
   m.events = r.events;
   m.threads = threads;
   m.shards = r.shards;
-  if (threads > 1 && wall_ns > 0 && base_ns > 0) {
-    m.speedup = static_cast<double>(base_ns) / static_cast<double>(wall_ns);
-    m.scaling_efficiency = m.speedup / static_cast<double>(threads);
-  }
   m.counters = {
       {"lp_count", static_cast<std::int64_t>(r.lp_count)},
       {"windows", static_cast<std::int64_t>(r.windows)},
@@ -1198,129 +1113,58 @@ RunMetrics cluster_scaling_metrics(std::size_t hosts, std::size_t threads) {
   return m;
 }
 
-/// The speedup-floor shape: the full engine_scaling grid's 1024-host
-/// fat-tree workload.  The floor re-measures exactly this config, so the
-/// gate and the grid cannot drift apart.
-net::LpWorkloadConfig engine_scaling_floor_config() {
-  // k = 16 fat tree: 1024 hosts over 320 switch LPs, with per-hop work
-  // heavy enough that window parallelism (not barrier overhead)
-  // dominates — the shape the >= 1.6x @ 4 threads CI floor is pinned on.
-  // The 2 us interior latency (= lookahead) over a 100 us injection
-  // spread keeps the run around ~60 fat windows: several milliseconds
-  // of spin work per barrier, so the pool amortizes its wakeups even on
-  // modest CI hosts.
-  net::LpWorkloadConfig cfg;
-  cfg.topology = net::TopologyConfig::fat_tree(3);
-  cfg.hosts = 1024;
-  cfg.frames_per_host = 32;
-  cfg.switch_work = 1024;
-  cfg.link_latency = Time::micros(2);
-  cfg.inject_spread = Time::micros(100);
-  return cfg;
-}
-
-/// The SimCluster half of the speedup floor: hosts of the pinned
-/// 1024-host fat-tree cluster shape the floor re-measures.
+/// The speedup-floor shape: the full grid's 1024-host fat-tree cluster
+/// (k = 16: 320 switch LPs).  The floor re-measures exactly this shape,
+/// so the gate and the grid cannot drift apart.
 constexpr std::size_t kClusterScalingFloorHosts = 1024;
 
 std::vector<RunPoint> engine_scaling_points(bool reduced) {
   struct Grid {
-    const char* label;   // "topology" param and baseline-memo key
-    net::LpWorkloadConfig cfg;
-    bool full_only;
+    const char* label;  // the "topology" param
+    net::TopologyConfig topo;
+    std::size_t hosts;
   };
-  // The full grid's fat-tree point carries the CI speedup floor; the
-  // reduced point keeps the suite in the serial-vs-pooled determinism
-  // gate without dominating its wall clock.
-  net::LpWorkloadConfig small;
-  small.topology = net::TopologyConfig::fat_tree(2);
-  small.hosts = 64;
-  small.frames_per_host = 16;
-  small.switch_work = 96;
+  // The 64-host 2-level tree (8 edge + 8 spine LPs) runs in both grids.
+  // 3-level host counts must be k^3/4 for an even k: 16 reduced, the
+  // floor shape full.
   const std::vector<Grid> grid = {
-      {"fattree2", small, false},
-      {"fattree3", engine_scaling_floor_config(), true},
+      {"cluster_fattree2", net::TopologyConfig::fat_tree(2), 64},
+      {"cluster_fattree3", net::TopologyConfig::fat_tree(3),
+       reduced ? std::size_t{16} : kClusterScalingFloorHosts},
   };
   std::vector<RunPoint> points;
   for (const auto& g : grid) {
-    if (reduced && g.full_only) continue;
-    const net::LpWorkloadConfig& cfg = g.cfg;
-    const std::string label = std::string(g.label) + "/P=" + num(cfg.hosts);
+    const net::TopologyConfig topo = g.topo;
+    const std::size_t hosts = g.hosts;
     for (std::size_t threads : {std::size_t{1}, std::size_t{2},
                                 std::size_t{4}}) {
       points.push_back(RunPoint{
           "engine_scaling",
-          label + "/threads=" + num(threads),
-          {{"topology", g.label},
-           {"P", num(cfg.hosts)},
-           {"frames_per_host", num(cfg.frames_per_host)},
-           {"switch_work", num(cfg.switch_work)},
-           {"threads", num(threads)}},
-          [label, cfg, threads] {
-            return engine_scaling_metrics(label, cfg, threads);
+          std::string(g.label) + "/P=" + num(hosts) +
+              "/threads=" + num(threads),
+          {{"topology", g.label}, {"P", num(hosts)}, {"threads", num(threads)}},
+          [topo, hosts, threads] {
+            return cluster_scaling_metrics(topo, hosts, threads);
           }});
     }
-  }
-  // SimCluster points: the full device models (cards, DMA, switch
-  // FIFOs) sharded across per-switch LPs — the migration the synthetic
-  // LP workload above cannot see.  The full grid's 1024-host point is
-  // the shape the --check-floor gate re-measures.  Host counts must be
-  // k^3/4 for an even k (fat_tree(3)): 16 reduced, 1024 full.
-  const std::size_t cluster_hosts =
-      reduced ? std::size_t{16} : kClusterScalingFloorHosts;
-  for (std::size_t threads : {std::size_t{1}, std::size_t{2},
-                              std::size_t{4}}) {
-    points.push_back(RunPoint{
-        "engine_scaling",
-        "cluster_fattree3/P=" + num(cluster_hosts) +
-            "/threads=" + num(threads),
-        {{"topology", "cluster_fattree3"},
-         {"P", num(cluster_hosts)},
-         {"threads", num(threads)}},
-        [cluster_hosts, threads] {
-          return cluster_scaling_metrics(cluster_hosts, threads);
-        }});
   }
   return points;
 }
 
-/// One floor attempt: the pinned shape at 1 then 4 threads,
-/// back-to-back on an otherwise idle process.  Returns the speedup.
-double floor_attempt(const net::LpWorkloadConfig& cfg) {
-  using clock = std::chrono::steady_clock;
-  const auto t0 = clock::now();
-  const auto serial = net::run_lp_workload(cfg, /*threads=*/1);
-  const auto t1 = clock::now();
-  const auto parallel = net::run_lp_workload(cfg, /*threads=*/4);
-  const auto t2 = clock::now();
-  if (serial.digest != parallel.digest ||
-      serial.checksum != parallel.checksum) {
-    std::fprintf(stderr,
-                 "FLOOR ABORT: 1-thread and 4-thread runs diverged "
-                 "(digest %s vs %s) — determinism bug, not a perf issue\n",
-                 digest_hex(serial.digest).c_str(),
-                 digest_hex(parallel.digest).c_str());
-    return -1.0;
-  }
-  const double serial_s = std::chrono::duration<double>(t1 - t0).count();
-  const double parallel_s = std::chrono::duration<double>(t2 - t1).count();
-  if (parallel_s <= 0.0) return 0.0;
-  return serial_s / parallel_s;
-}
-
-/// One SimCluster floor attempt: the pinned 1024-host cluster shape at
-/// 1 then 4 threads.  `sharded_digest` carries the 2-thread reference
-/// digest across attempts (serial and sharded digests are different
-/// constants by design, so the determinism abort compares 4-thread runs
-/// against the 2-thread reference, never against serial).
+/// One floor attempt: the pinned 1024-host cluster shape at 1 then 4
+/// threads.  `sharded_digest` carries the 2-thread reference digest
+/// across attempts (serial and sharded digests are different constants
+/// by design, so the determinism abort compares 4-thread runs against
+/// the 2-thread reference, never against serial).
 double cluster_floor_attempt(std::uint64_t sharded_digest) {
   using clock = std::chrono::steady_clock;
+  const net::TopologyConfig topo = net::TopologyConfig::fat_tree(3);
   const auto t0 = clock::now();
   const auto serial =
-      run_cluster_scaling_point(kClusterScalingFloorHosts, /*threads=*/1);
+      run_cluster_scaling_point(topo, kClusterScalingFloorHosts, /*threads=*/1);
   const auto t1 = clock::now();
   const auto parallel =
-      run_cluster_scaling_point(kClusterScalingFloorHosts, /*threads=*/4);
+      run_cluster_scaling_point(topo, kClusterScalingFloorHosts, /*threads=*/4);
   const auto t2 = clock::now();
   if (parallel.digest != sharded_digest) {
     std::fprintf(stderr,
@@ -1343,14 +1187,12 @@ double cluster_floor_attempt(std::uint64_t sharded_digest) {
   return serial_s / parallel_s;
 }
 
-/// The parallel engine's speedup floor: re-measures the two pinned
-/// 1024-host fat-tree shapes back-to-back at 1 and 4 threads and fails
-/// unless the best of three attempts reaches 1.6x — first the synthetic
-/// LP workload (engine_scaling_floor_config()), then the SimCluster
-/// shape whose device models ride the per-switch LPs.  Determinism is
-/// not this gate's job (tests/parallel_scaling_test.cpp compares digests
-/// across thread counts); this one keeps the parallelism real, and a
-/// digest divergence aborts it at once.
+/// The parallel engine's speedup floor: re-measures the pinned 1024-host
+/// fat-tree cluster back-to-back at 1 and 4 threads and fails unless the
+/// best of three attempts reaches 1.6x.  Determinism is not this gate's
+/// job (tests/parallel_scaling_test.cpp compares digests across thread
+/// counts); this one keeps the parallelism real, and a digest or end-time
+/// divergence aborts it at once.
 int engine_scaling_floor() {
   const double kFloor = 1.6;
   const unsigned cores = std::thread::hardware_concurrency();
@@ -1365,54 +1207,31 @@ int engine_scaling_floor() {
                 cores, kFloor);
     return 0;
   }
-  int floor_failures = 0;
-  const net::LpWorkloadConfig cfg = engine_scaling_floor_config();
-  std::printf("\n== speedup floor: fat_tree(3) %zu hosts, 4 threads, "
-              ">= %.1fx ==\n",
-              cfg.hosts, kFloor);
-  double best = 0.0;
-  for (int attempt = 1; attempt <= 3; ++attempt) {
-    const double s = floor_attempt(cfg);
-    if (s < 0.0) return floor_failures + 1;  // determinism divergence
-    std::printf("attempt %d: %.2fx\n", attempt, s);
-    if (s > best) best = s;
-    if (best >= kFloor) break;  // no need to burn more CI time
-  }
-  if (best >= kFloor) {
-    std::printf("floor passed: best %.2fx >= %.1fx\n", best, kFloor);
-  } else {
-    ++floor_failures;
-    std::fprintf(stderr,
-                 "FLOOR FAILED: best speedup %.2fx < %.1fx at 4 threads\n",
-                 best, kFloor);
-  }
-
   std::printf("\n== SimCluster speedup floor: fat_tree(3) %zu hosts, "
               "4 threads, >= %.1fx ==\n",
               kClusterScalingFloorHosts, kFloor);
   // 2-thread reference digest for the cross-thread determinism abort
   // (the serial digest is a different constant by design).
   const auto two =
-      run_cluster_scaling_point(kClusterScalingFloorHosts, /*threads=*/2);
-  double cluster_best = 0.0;
+      run_cluster_scaling_point(net::TopologyConfig::fat_tree(3),
+                                kClusterScalingFloorHosts, /*threads=*/2);
+  double best = 0.0;
   for (int attempt = 1; attempt <= 3; ++attempt) {
     const double s = cluster_floor_attempt(two.digest);
-    if (s < 0.0) return floor_failures + 1;  // determinism divergence
+    if (s < 0.0) return 1;  // determinism divergence
     std::printf("attempt %d: %.2fx\n", attempt, s);
-    if (s > cluster_best) cluster_best = s;
-    if (cluster_best >= kFloor) break;
+    if (s > best) best = s;
+    if (best >= kFloor) break;  // no need to burn more CI time
   }
-  if (cluster_best >= kFloor) {
-    std::printf("cluster floor passed: best %.2fx >= %.1fx\n", cluster_best,
-                kFloor);
-  } else {
-    ++floor_failures;
-    std::fprintf(stderr,
-                 "CLUSTER FLOOR FAILED: best speedup %.2fx < %.1fx at "
-                 "4 threads\n",
-                 cluster_best, kFloor);
+  if (best >= kFloor) {
+    std::printf("cluster floor passed: best %.2fx >= %.1fx\n", best, kFloor);
+    return 0;
   }
-  return floor_failures;
+  std::fprintf(stderr,
+               "CLUSTER FLOOR FAILED: best speedup %.2fx < %.1fx at "
+               "4 threads\n",
+               best, kFloor);
+  return 1;
 }
 
 }  // namespace

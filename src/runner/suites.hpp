@@ -5,12 +5,12 @@
 // it runs the selected suites' points through the SweepRunner, emits
 // BENCH_results.json, and then runs every selected suite's gate.
 //
-// Each point runs a fresh SimCluster (or LP workload) with tracing
-// enabled (small ring; the digest covers the full stream), so every
-// point carries the run digest that CI compares between pooled and
-// serial execution.  Serial speedup baselines come from
-// core::serial_*_total, which memoizes one serial run per problem size
-// process-wide (thread-safe).
+// Each point runs a fresh SimCluster with tracing enabled (small ring;
+// the digest covers the full stream), so every point carries the run
+// digest that CI compares between pooled and serial execution.  Serial
+// speedup baselines come from core::serial_*_total, which memoizes one
+// serial run per problem size process-wide (thread-safe);
+// engine_scaling speedups come from runner::derive_thread_scaling.
 #pragma once
 
 #include <vector>

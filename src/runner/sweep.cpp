@@ -55,6 +55,30 @@ std::string RunRecord::param(std::string_view name) const {
   return "";
 }
 
+void derive_thread_scaling(std::vector<RunRecord>& records) {
+  // The params a record shares with its thread-count siblings.
+  auto shape_of = [](const RunRecord& r) {
+    auto params = r.params;
+    std::erase_if(params, [](const auto& kv) { return kv.first == "threads"; });
+    return params;
+  };
+  for (RunRecord& r : records) {
+    if (!r.ok || r.metrics.threads <= 1 || r.wall_ns == 0) continue;
+    const auto shape = shape_of(r);
+    for (const RunRecord& base : records) {
+      if (!base.ok || base.metrics.threads != 1 || base.wall_ns == 0 ||
+          base.suite != r.suite || shape_of(base) != shape) {
+        continue;
+      }
+      r.metrics.speedup = static_cast<double>(base.wall_ns) /
+                          static_cast<double>(r.wall_ns);
+      r.metrics.scaling_efficiency =
+          r.metrics.speedup / static_cast<double>(r.metrics.threads);
+      break;
+    }
+  }
+}
+
 SweepRunner::SweepRunner(std::size_t threads) : threads_(threads) {
   if (threads_ == 0) {
     threads_ = std::thread::hardware_concurrency();

@@ -124,6 +124,13 @@ struct RunRecord {
   std::string param(std::string_view name) const;
 };
 
+/// Fills `speedup` (threads=1 wall clock over this record's) and
+/// `scaling_efficiency` (speedup / threads) of every ok record that ran
+/// on more than one engine thread, from the threads=1 record of the same
+/// suite and params (the "threads" param aside).  A record without such
+/// a sibling is left as is.
+void derive_thread_scaling(std::vector<RunRecord>& records);
+
 class SweepRunner {
  public:
   /// `threads` = 0 picks std::thread::hardware_concurrency() (min 1).

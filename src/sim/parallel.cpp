@@ -197,7 +197,7 @@ void ParallelEngine::stop_workers() {
 
 Time ParallelEngine::run() {
   // Watchdog seeding: a budget set on any shard (callers usually only
-  // reach LP 0 through the serial facade) arms every shard that has none
+  // reach LP 0, e.g. SimCluster::engine()) arms every shard that has none
   // of its own, so a runaway loop trips no matter which LP hosts it.
   Time budget = Time::zero();
   for (const Engine* s : shards_) budget = std::max(budget, s->time_budget());
@@ -231,7 +231,7 @@ Time ParallelEngine::run() {
           std::to_string(shards_.size()) +
           " LP(s) — the run is not converging");
     }
-    // Single-LP facade: no cross-LP input can ever arrive, so the whole
+    // Single LP: no cross-LP input can ever arrive, so the whole
     // remaining simulation is one safe window.  Multi-LP: the half-open
     // conservative window [t_min, t_min + lookahead).
     const Time end =

@@ -72,8 +72,8 @@ class ParallelEngine {
   ParallelEngine(std::size_t lps, const ParallelConfig& cfg);
 
   /// Adopts existing shard engines (not owned; must outlive this object).
-  /// A single adopted shard is the facade SimCluster uses: the cluster's
-  /// own engine becomes LP 0 and runs through the same window machinery.
+  /// SimCluster adopts its own engine as LP 0 and one fresh engine per
+  /// further switch LP.
   ParallelEngine(std::vector<Engine*> shards, const ParallelConfig& cfg);
 
   ~ParallelEngine();
@@ -119,8 +119,8 @@ class ParallelEngine {
   std::uint64_t cross_posts() const { return cross_posts_; }
 
   /// Canonical digest over the per-LP tracer lanes: with one LP it *is*
-  /// that engine's tracer digest (so a single-shard facade preserves
-  /// every existing golden pin bit-for-bit); with several it folds
+  /// that engine's tracer digest (a single-shard run digests exactly as
+  /// the engine run alone); with several it folds
   /// (lp index, lane digest, lane record count) in LP order.  Worker-
   /// count independent by construction.
   std::uint64_t combined_digest() const;

@@ -94,7 +94,7 @@ net::Frame make_frame(int src, int dst, Bytes payload) {
 
 TEST(NetworkFaults, LinkDownWindowDropsExactlyFramesInsideIt) {
   sim::Engine eng;
-  net::Network net(eng, 2);
+  net::Fabric net(eng, 2);
   RecordingEndpoint a(eng), b(eng);
   net.attach(0, a);
   net.attach(1, b);
@@ -123,7 +123,7 @@ TEST(NetworkFaults, LinkDownWindowDropsExactlyFramesInsideIt) {
 
 TEST(NetworkFaults, BurstLossDropsAndCountsSeparately) {
   sim::Engine eng;
-  net::Network net(eng, 2);
+  net::Fabric net(eng, 2);
   RecordingEndpoint a(eng), b(eng);
   net.attach(0, a);
   net.attach(1, b);
@@ -152,7 +152,7 @@ TEST(NetworkFaults, BurstLossDropsAndCountsSeparately) {
 
 TEST(NetworkFaults, CorruptedFramesAreDeliveredWithTheFlagSet) {
   sim::Engine eng;
-  net::Network net(eng, 2);
+  net::Fabric net(eng, 2);
   RecordingEndpoint a(eng), b(eng);
   net.attach(0, a);
   net.attach(1, b);
@@ -171,7 +171,7 @@ TEST(NetworkFaults, CorruptedFramesAreDeliveredWithTheFlagSet) {
 
 TEST(NetworkFaults, StandardNicDropsCorruptedFramesAtTheMac) {
   sim::Engine eng;
-  net::Network net(eng, 2);
+  net::Fabric net(eng, 2);
   hw::Node na(eng, 0), nb(eng, 1);
   net::StandardNic nic_a(na, net), nic_b(nb, net);
   int upcalls = 0;
@@ -190,7 +190,7 @@ TEST(NetworkFaults, StandardNicDropsCorruptedFramesAtTheMac) {
 TEST(NetworkFaults, PortRateDegradeStretchesDelivery) {
   auto delivery_time = [](double factor) {
     sim::Engine eng;
-    net::Network net(eng, 2);
+    net::Fabric net(eng, 2);
     RecordingEndpoint a(eng), b(eng);
     net.attach(0, a);
     net.attach(1, b);
@@ -209,7 +209,7 @@ TEST(NetworkFaults, BufferShrinkCausesDropTailLoss) {
   sim::Engine eng;
   net::NetworkConfig cfg;
   cfg.port_buffer = Bytes::kib(64);
-  net::Network net(eng, 3, cfg);
+  net::Fabric net(eng, 3, cfg);
   RecordingEndpoint sink(eng), s1(eng), s2(eng);
   net.attach(0, sink);
   net.attach(1, s1);
@@ -238,14 +238,14 @@ TEST(NetworkFaults, BufferShrinkCausesDropTailLoss) {
 
 struct InicPairRig {
   explicit InicPairRig(inic::InicConfig cfg = inic::InicConfig::ideal()) {
-    network = std::make_unique<net::Network>(eng, 2);
+    network = std::make_unique<net::Fabric>(eng, 2);
     node_a = std::make_unique<hw::Node>(eng, 0);
     node_b = std::make_unique<hw::Node>(eng, 1);
     card_a = std::make_unique<inic::InicCard>(*node_a, *network, cfg);
     card_b = std::make_unique<inic::InicCard>(*node_b, *network, cfg);
   }
   sim::Engine eng;
-  std::unique_ptr<net::Network> network;
+  std::unique_ptr<net::Fabric> network;
   std::unique_ptr<hw::Node> node_a, node_b;
   std::unique_ptr<inic::InicCard> card_a, card_b;
 };
@@ -394,7 +394,7 @@ TEST(InicTriggers, DuplicateSourceCombinesExactlyOnce) {
   // Three cards: the target expects one message from each of two
   // sources; one source double-sends (modeling a fallback re-carry).
   sim::Engine eng;
-  net::Network network(eng, 3);
+  net::Fabric network(eng, 3);
   hw::Node node_a(eng, 0), node_b(eng, 1), node_c(eng, 2);
   inic::InicCard card_a(node_a, network, inic::InicConfig::ideal());
   inic::InicCard card_b(node_b, network, inic::InicConfig::ideal());

@@ -18,7 +18,7 @@ namespace {
 struct InicCluster {
   explicit InicCluster(std::size_t n, InicConfig cfg = InicConfig::ideal(),
                        net::NetworkConfig net_cfg = {}) {
-    network = std::make_unique<net::Network>(eng, n, net_cfg);
+    network = std::make_unique<net::Fabric>(eng, n, net_cfg);
     cfg = cfg.tuned_for(n, net_cfg.port_buffer);
     for (std::size_t i = 0; i < n; ++i) {
       nodes.push_back(std::make_unique<hw::Node>(eng, static_cast<int>(i)));
@@ -27,7 +27,7 @@ struct InicCluster {
   }
 
   sim::Engine eng;
-  std::unique_ptr<net::Network> network;
+  std::unique_ptr<net::Fabric> network;
   std::vector<std::unique_ptr<hw::Node>> nodes;
   std::vector<std::unique_ptr<InicCard>> cards;
 };

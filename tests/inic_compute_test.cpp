@@ -16,14 +16,14 @@ namespace {
 
 struct Rig {
   explicit Rig(InicConfig cfg) {
-    network = std::make_unique<net::Network>(eng, 2);
+    network = std::make_unique<net::Fabric>(eng, 2);
     node_a = std::make_unique<hw::Node>(eng, 0);
     node_b = std::make_unique<hw::Node>(eng, 1);
     card_a = std::make_unique<InicCard>(*node_a, *network, cfg);
     card_b = std::make_unique<InicCard>(*node_b, *network, cfg);
   }
   sim::Engine eng;
-  std::unique_ptr<net::Network> network;
+  std::unique_ptr<net::Fabric> network;
   std::unique_ptr<hw::Node> node_a, node_b;
   std::unique_ptr<InicCard> card_a, card_b;
 };

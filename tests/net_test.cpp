@@ -46,7 +46,7 @@ TEST(Network, DeliversFrameWithLatencyAndSerialization) {
   cfg.line_rate = Bandwidth::gbit_per_sec(1.0);
   cfg.link_latency = Time::micros(1);
   cfg.switch_latency = Time::micros(4);
-  Network net(eng, 2, cfg);
+  Fabric net(eng, 2, cfg);
   RecordingEndpoint a(eng), b(eng);
   net.attach(0, a);
   net.attach(1, b);
@@ -65,7 +65,7 @@ TEST(Network, DeliversFrameWithLatencyAndSerialization) {
 
 TEST(Network, EgressPortSerializesCompetingSenders) {
   sim::Engine eng;
-  Network net(eng, 3, {});
+  Fabric net(eng, 3, {});
   RecordingEndpoint sink(eng), other(eng), third(eng);
   net.attach(0, sink);
   net.attach(1, other);
@@ -88,7 +88,7 @@ TEST(Network, DropsWhenOutputBufferOverflows) {
   sim::Engine eng;
   NetworkConfig cfg;
   cfg.port_buffer = Bytes::kib(64);
-  Network net(eng, 3, cfg);
+  Fabric net(eng, 3, cfg);
   RecordingEndpoint sink(eng), other(eng), third(eng);
   net.attach(0, sink);
   net.attach(1, other);
@@ -111,7 +111,7 @@ TEST(Network, ThroughputMatchesLineRate) {
   NetworkConfig cfg;
   cfg.line_rate = Bandwidth::mbit_per_sec(100.0);  // Fast Ethernet
   cfg.port_buffer = Bytes::mib(4);  // hold the whole train; we measure rate
-  Network net(eng, 2, cfg);
+  Fabric net(eng, 2, cfg);
   RecordingEndpoint a(eng), b(eng);
   net.attach(0, a);
   net.attach(1, b);
@@ -129,7 +129,7 @@ TEST(Network, ThroughputMatchesLineRate) {
 
 TEST(Network, RejectsUnattachedDestination) {
   sim::Engine eng;
-  Network net(eng, 2, {});
+  Fabric net(eng, 2, {});
   RecordingEndpoint a(eng);
   net.attach(0, a);
   EXPECT_THROW(net.inject(make_frame(0, 1, Bytes(100))), std::logic_error);
@@ -137,14 +137,14 @@ TEST(Network, RejectsUnattachedDestination) {
 
 struct NicRig {
   NicRig(NicConfig nic_cfg = {}, NetworkConfig net_cfg = {}) {
-    network = std::make_unique<Network>(eng, 2, net_cfg);
+    network = std::make_unique<Fabric>(eng, 2, net_cfg);
     node_a = std::make_unique<hw::Node>(eng, 0);
     node_b = std::make_unique<hw::Node>(eng, 1);
     nic_a = std::make_unique<StandardNic>(*node_a, *network, nic_cfg);
     nic_b = std::make_unique<StandardNic>(*node_b, *network, nic_cfg);
   }
   sim::Engine eng;
-  std::unique_ptr<Network> network;
+  std::unique_ptr<Fabric> network;
   std::unique_ptr<hw::Node> node_a, node_b;
   std::unique_ptr<StandardNic> nic_a, nic_b;
 };

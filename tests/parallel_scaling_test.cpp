@@ -1,14 +1,9 @@
-// Thread-count independence of full runs (docs/TRACING.md), on both
-// halves of the parallel engine story:
-//
-//   * the LP-partitioned fabric workload (net/lp_workload.hpp) — real
-//     multi-LP window execution over every topology family, digest
-//     bit-identical for ANY worker count including 1, and
-//   * sharded SimCluster runs (ClusterOptions::engine_threads >= 2) —
-//     the full device models on per-switch LPs, digest bit-identical
-//     across every sharded thread count, and serial-vs-sharded
-//     equivalence on end time + merged counter totals (the sharded
-//     digest is a different constant by design: per-lane frame ids).
+// Thread-count independence of sharded SimCluster runs
+// (ClusterOptions::engine_threads >= 2, docs/TRACING.md): the full device
+// models on per-switch LPs, digest bit-identical across every sharded
+// thread count, and serial-vs-sharded equivalence on end time + merged
+// counter totals (the sharded digest is a different constant by design:
+// per-lane frame ids).
 //
 // CI additionally runs this binary under ThreadSanitizer, so the
 // 1024-host fat-tree stress point doubles as the data-race probe for
@@ -19,10 +14,9 @@
 #include <vector>
 
 #include "apps/cluster.hpp"
+#include "apps/kv_app.hpp"
 #include "common/units.hpp"
 #include "model/calibration.hpp"
-#include "apps/kv_app.hpp"
-#include "net/lp_workload.hpp"
 #include "net/topology.hpp"
 #include "sim/process.hpp"
 #include "trace/counters.hpp"
@@ -37,88 +31,6 @@ struct TopoCase {
 };
 
 // ---------------------------------------------------------------------
-// LP workload: real multi-LP parallelism
-// ---------------------------------------------------------------------
-
-std::vector<TopoCase> workload_topologies() {
-  return {
-      {"star", net::TopologyConfig::star(), 16},
-      {"fattree2", net::TopologyConfig::fat_tree(2), 64},
-      {"fattree3", net::TopologyConfig::fat_tree(3), 128},
-      {"torus2", net::TopologyConfig::torus(2), 64},
-      {"torus3", net::TopologyConfig::torus(3), 64},
-  };
-}
-
-net::LpWorkloadConfig workload_config(const TopoCase& tc) {
-  net::LpWorkloadConfig cfg;
-  cfg.topology = tc.config;
-  cfg.hosts = tc.hosts;
-  cfg.frames_per_host = 8;
-  cfg.switch_work = 32;
-  cfg.inject_spread = Time::micros(50);
-  return cfg;
-}
-
-TEST(ParallelScaling, WorkloadInvariantsIndependentOfThreadCountEverywhere) {
-  for (const TopoCase& tc : workload_topologies()) {
-    const net::LpWorkloadConfig cfg = workload_config(tc);
-    const net::LpWorkloadResult ref = net::run_lp_workload(cfg, /*threads=*/1);
-    EXPECT_EQ(ref.delivered, cfg.hosts * cfg.frames_per_host) << tc.label;
-    EXPECT_GE(ref.hops, ref.delivered) << tc.label;
-#ifndef ACC_TRACE_DISABLED
-    EXPECT_GT(ref.trace_records, 0u) << tc.label;
-#endif
-    for (std::size_t threads : {std::size_t{2}, std::size_t{4},
-                                std::size_t{8}}) {
-      const net::LpWorkloadResult run = net::run_lp_workload(cfg, threads);
-      EXPECT_EQ(run.digest, ref.digest)
-          << tc.label << " digest diverged at threads=" << threads;
-      EXPECT_EQ(run.checksum, ref.checksum) << tc.label << " t=" << threads;
-      EXPECT_EQ(run.events, ref.events) << tc.label << " t=" << threads;
-      EXPECT_EQ(run.delivered, ref.delivered) << tc.label << " t=" << threads;
-      EXPECT_EQ(run.hops, ref.hops) << tc.label << " t=" << threads;
-      EXPECT_EQ(run.windows, ref.windows) << tc.label << " t=" << threads;
-      EXPECT_EQ(run.cross_posts, ref.cross_posts)
-          << tc.label << " t=" << threads;
-      EXPECT_EQ(run.trace_records, ref.trace_records)
-          << tc.label << " t=" << threads;
-      EXPECT_EQ(run.sim_time, ref.sim_time) << tc.label << " t=" << threads;
-    }
-  }
-}
-
-TEST(ParallelScaling, SingleSwitchStarDegeneratesToOneLp) {
-  // A star has no interior links: one LP, zero lookahead, zero cross
-  // posts — the parallel engine must handle the degenerate partition.
-  net::LpWorkloadConfig cfg = workload_config(workload_topologies()[0]);
-  const net::LpWorkloadResult r = net::run_lp_workload(cfg, /*threads=*/4);
-  EXPECT_EQ(r.lp_count, 1u);
-  EXPECT_EQ(r.cross_posts, 0u);
-  EXPECT_EQ(r.delivered, cfg.hosts * cfg.frames_per_host);
-}
-
-TEST(ParallelScaling, FatTree1024StressPoint) {
-  // The CI-floor shape (fat_tree(3) at 1024 hosts = 320 switch LPs),
-  // sized down in per-hop work so the TSan job can afford it.  Checks
-  // the full determinism contract at the scale where every worker is
-  // saturated and the mailbox matrix is large.
-  net::LpWorkloadConfig cfg;
-  cfg.topology = net::TopologyConfig::fat_tree(3);
-  cfg.hosts = 1024;
-  cfg.frames_per_host = 4;
-  cfg.switch_work = 64;
-  const net::LpWorkloadResult ref = net::run_lp_workload(cfg, /*threads=*/1);
-  const net::LpWorkloadResult run = net::run_lp_workload(cfg, /*threads=*/4);
-  EXPECT_EQ(run.digest, ref.digest);
-  EXPECT_EQ(run.checksum, ref.checksum);
-  EXPECT_EQ(run.events, ref.events);
-  EXPECT_EQ(run.delivered, cfg.hosts * cfg.frames_per_host);
-  EXPECT_GT(run.lp_count, 100u);
-  EXPECT_GT(run.cross_posts, 0u);
-}
-
-// ---------------------------------------------------------------------
 // SimCluster device models on LPs: digest/counter contract
 // ---------------------------------------------------------------------
 //
@@ -128,8 +40,8 @@ TEST(ParallelScaling, FatTree1024StressPoint) {
 // with per-lane frame ids, so the combined digest is a DIFFERENT
 // constant — but the same one for every thread count >= 2, and the
 // merged counter totals and end time must equal the serial run exactly.
-// On a single-switch star the sharded path degenerates to the serial
-// facade, so there the digest matches serial for every thread count.
+// A single-switch star never shards, so there the digest matches
+// serial for every thread count.
 
 std::vector<TopoCase> cluster_topologies() {
   return {
@@ -148,6 +60,8 @@ struct ClusterRun {
   Time end = Time::zero();
   std::vector<trace::CounterSample> counters;
   bool sharded = false;
+  std::size_t lp_count = 1;
+  std::uint64_t cross_posts = 0;
 };
 
 /// A neighbour-ring transfer workload with every rank coroutine spawned
@@ -182,6 +96,12 @@ ClusterRun cluster_run(const TopoCase& tc, std::size_t threads) {
   out.events = cluster.events_executed();
   out.counters = cluster.counters_snapshot();
   out.sharded = cluster.sharded();
+  if (const net::LpPartition* part = cluster.partition()) {
+    out.lp_count = part->lp_count;
+  }
+  if (const sim::ParallelEngine* pe = cluster.parallel()) {
+    out.cross_posts = pe->cross_posts();
+  }
   return out;
 }
 
@@ -278,6 +198,25 @@ TEST(ParallelScaling, ClusterKvServingMatchesSerialOnEveryFamily) {
       expect_same_counters(run.counters, serial.counters, tc.label, threads);
     }
   }
+}
+
+TEST(ParallelScaling, FatTree1024StressPoint) {
+  // The floor shape's fabric (fat_tree(3) at 1024 hosts = 320 switch
+  // LPs), one 4 KiB ring transfer per host so the TSan job can afford
+  // it.  Checks the full contract at the scale where every worker is
+  // saturated and the mailbox matrix is large.
+  const TopoCase tc{"fattree3/P=1024", net::TopologyConfig::fat_tree(3),
+                    1024};
+  const ClusterRun serial = cluster_run(tc, /*threads=*/1);
+  const ClusterRun two = cluster_run(tc, /*threads=*/2);
+  const ClusterRun four = cluster_run(tc, /*threads=*/4);
+  ASSERT_TRUE(two.sharded);
+  expect_same_run(four, two, tc.label, 4);
+  EXPECT_EQ(two.end, serial.end);
+  expect_same_counters(two.counters, serial.counters, tc.label, 2);
+  expect_same_counters(four.counters, serial.counters, tc.label, 4);
+  EXPECT_GT(two.lp_count, 100u);
+  EXPECT_GT(two.cross_posts, 0u);
 }
 
 }  // namespace

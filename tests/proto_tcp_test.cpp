@@ -21,7 +21,7 @@ namespace {
 struct TcpCluster {
   explicit TcpCluster(std::size_t n, net::NetworkConfig net_cfg = {},
                       net::NicConfig nic_cfg = {}, TcpConfig tcp_cfg = {}) {
-    network = std::make_unique<net::Network>(eng, n, net_cfg);
+    network = std::make_unique<net::Fabric>(eng, n, net_cfg);
     for (std::size_t i = 0; i < n; ++i) {
       nodes.push_back(std::make_unique<hw::Node>(eng, static_cast<int>(i)));
       nics.push_back(
@@ -32,7 +32,7 @@ struct TcpCluster {
   }
 
   sim::Engine eng;
-  std::unique_ptr<net::Network> network;
+  std::unique_ptr<net::Fabric> network;
   std::vector<std::unique_ptr<hw::Node>> nodes;
   std::vector<std::unique_ptr<net::StandardNic>> nics;
   std::vector<std::unique_ptr<TcpStack>> stacks;

@@ -20,7 +20,7 @@ namespace {
 
 TEST(Reliability, TcpDeliversUnderRandomLoss) {
   sim::Engine eng;
-  net::Network network(eng, 2);
+  net::Fabric network(eng, 2);
   network.set_random_loss(0.15, 42);
 
   hw::Node a(eng, 0), b(eng, 1);
@@ -56,7 +56,7 @@ TEST(Reliability, TcpConvergesUnderSustained30PercentLoss) {
   // retransmit into the loss at a constant rate and converge far slower
   // (before the backoff fix this scenario effectively never finished).
   sim::Engine eng;
-  net::Network network(eng, 2);
+  net::Fabric network(eng, 2);
   network.set_random_loss(0.30, 99);
 
   hw::Node a(eng, 0), b(eng, 1);
@@ -91,7 +91,7 @@ TEST(Reliability, TcpDeliversUnderBurstyLoss) {
   // dwells that kill several consecutive frames — the pattern that
   // punishes fixed-interval retransmission hardest.
   sim::Engine eng;
-  net::Network network(eng, 2);
+  net::Fabric network(eng, 2);
   fault::GilbertElliottParams ge;
   ge.p_good_to_bad = 0.02;
   ge.p_bad_to_good = 0.25;
@@ -125,7 +125,7 @@ TEST(Reliability, TcpDeliversUnderBurstyLoss) {
 
 struct LossyInicRig {
   LossyInicRig(double loss, bool hw_retransmit) {
-    network = std::make_unique<net::Network>(eng, 2);
+    network = std::make_unique<net::Fabric>(eng, 2);
     network->set_random_loss(loss, 7);
     inic::InicConfig cfg = inic::InicConfig::ideal();
     cfg.hw_retransmit = hw_retransmit;
@@ -136,7 +136,7 @@ struct LossyInicRig {
     card_b = std::make_unique<inic::InicCard>(*node_b, *network, cfg);
   }
   sim::Engine eng;
-  std::unique_ptr<net::Network> network;
+  std::unique_ptr<net::Fabric> network;
   std::unique_ptr<hw::Node> node_a, node_b;
   std::unique_ptr<inic::InicCard> card_a, card_b;
 };

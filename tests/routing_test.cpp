@@ -52,20 +52,20 @@ struct Harness {
     NetworkConfig cfg;
     cfg.topology = topo;
     cfg.routing.adaptive = adaptive;
-    net = std::make_unique<Network>(eng, hosts, cfg);
+    net = std::make_unique<Fabric>(eng, hosts, cfg);
     for (std::size_t h = 0; h < hosts; ++h) {
       sinks.push_back(std::make_unique<RecordingEndpoint>(eng));
       net->attach(static_cast<int>(h), *sinks.back());
     }
   }
   sim::Engine eng;
-  std::unique_ptr<Network> net;
+  std::unique_ptr<Fabric> net;
   std::vector<std::unique_ptr<RecordingEndpoint>> sinks;
 };
 
 /// First interior hop (switch pair) on the current live route, or
 /// (-1, -1) if the route is single-switch.
-std::pair<int, int> first_interior_hop(const Network& net, int src, int dst) {
+std::pair<int, int> first_interior_hop(const Fabric& net, int src, int dst) {
   const auto path = net.route(src, dst);
   if (path.size() < 2) return {-1, -1};
   return {path[0], path[1]};
@@ -112,7 +112,7 @@ TEST(Routing, IncastStormNeverFlipsLinkHealth) {
   cfg.port_buffer = Bytes::kib(2);  // tiny buffers: guarantee drop-tail
   sim::Engine eng;
   eng.tracer().enable();
-  Network net(eng, 8, cfg);
+  Fabric net(eng, 8, cfg);
   std::vector<std::unique_ptr<RecordingEndpoint>> sinks;
   for (int h = 0; h < 8; ++h) {
     sinks.push_back(std::make_unique<RecordingEndpoint>(eng));
@@ -296,7 +296,7 @@ std::vector<Shape> all_shapes() {
 
 /// Reference BFS switch-hop distance over links the routing plane
 /// believes up.
-std::vector<int> bfs_dist(const Network& net, int root) {
+std::vector<int> bfs_dist(const Fabric& net, int root) {
   const auto& plan = net.plan();
   std::vector<int> dist(plan.switches.size(), -1);
   std::vector<int> queue{root};
@@ -318,7 +318,7 @@ std::vector<int> bfs_dist(const Network& net, int root) {
 
 /// Walks every path reachable by always following ecmp_ports; checks
 /// each is loop-free and exactly minimal.  Returns the paths explored.
-void check_alternates(const Network& net, int src, int dst) {
+void check_alternates(const Fabric& net, int src, int dst) {
   const auto& plan = net.plan();
   const int src_sw = plan.hosts[static_cast<std::size_t>(src)].sw;
   const int dst_sw = plan.hosts[static_cast<std::size_t>(dst)].sw;
@@ -331,7 +331,7 @@ void check_alternates(const Network& net, int src, int dst) {
   // Iterative DFS over the alternate DAG (distance strictly decreases,
   // so recursion depth is bounded by the diameter).
   struct VisitFn {
-    const Network& net;
+    const Fabric& net;
     const TopologyPlan& plan;
     const std::vector<int>& dist;
     int dst;

@@ -360,6 +360,34 @@ TEST(RunRecord, EventsPerSecIgnoresShardBusyTime) {
   EXPECT_EQ(r.events_per_sec(), 0.0);
 }
 
+TEST(RunRecord, ThreadScalingDerivesFromTheSameShapesOneThreadRecord) {
+  auto record = [](std::string suite, std::string shape, std::size_t threads,
+                   std::uint64_t wall_ns) {
+    RunRecord r;
+    r.suite = std::move(suite);
+    r.name = shape + "/threads=" + std::to_string(threads);
+    r.params = {{"shape", shape}, {"threads", std::to_string(threads)}};
+    r.ok = true;
+    r.wall_ns = wall_ns;
+    r.metrics.threads = threads;
+    return r;
+  };
+  std::vector<RunRecord> records = {
+      record("s", "a", 1, 8000), record("s", "a", 2, 2000),
+      record("s", "a", 4, 4000), record("s", "b", 4, 1000),
+      record("t", "a", 2, 1000)};
+  runner::derive_thread_scaling(records);
+  EXPECT_EQ(records[0].metrics.speedup, 0.0);  // the baseline itself
+  EXPECT_DOUBLE_EQ(records[1].metrics.speedup, 4.0);
+  EXPECT_DOUBLE_EQ(records[1].metrics.scaling_efficiency, 2.0);
+  EXPECT_DOUBLE_EQ(records[2].metrics.speedup, 2.0);
+  EXPECT_DOUBLE_EQ(records[2].metrics.scaling_efficiency, 0.5);
+  // No threads=1 sibling: another shape, or the same shape in another
+  // suite, never serves as the baseline.
+  EXPECT_EQ(records[3].metrics.speedup, 0.0);
+  EXPECT_EQ(records[4].metrics.speedup, 0.0);
+}
+
 TEST(BenchJson, SchemaV5EmitsParallelFieldsOnlyForParallelPoints) {
   RunRecord parallel;
   parallel.suite = "s";

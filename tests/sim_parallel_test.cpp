@@ -2,8 +2,8 @@
 // execution, the deterministic cross-LP mailbox merge, and the
 // determinism contract's core claim — same seed ⇒ same combined digest
 // for any worker count.  These tests build small synthetic LP graphs
-// directly on ParallelEngine; tests/parallel_scaling_test.cpp covers the
-// topology-derived fabric workload and the SimCluster facade.
+// directly on ParallelEngine; tests/parallel_scaling_test.cpp covers
+// SimCluster runs sharded across the topology-derived LP partition.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -65,7 +65,7 @@ TEST(ParallelEngine, MultiLpRequiresPositiveLookahead) {
                std::invalid_argument);
   EXPECT_THROW(ParallelEngine(0, config(1, Time::nanos(1))),
                std::invalid_argument);
-  // Single LP: zero lookahead is the degenerate-but-valid facade shape.
+  // Single LP: zero lookahead is the degenerate-but-valid partition.
   ParallelEngine single(1, config(4, Time::zero()));
   EXPECT_EQ(single.lp_count(), 1u);
   // Workers are clamped to the LP count — extra threads would only idle.
@@ -233,15 +233,15 @@ TEST(ParallelEngine, RingDigestIndependentOfWorkerCount) {
 }
 
 TEST(ParallelEngine, SingleAdoptedShardPreservesEngineDigest) {
-  // The SimCluster facade shape: one pre-existing engine adopted as LP 0
-  // must produce the exact serial dispatch order and expose the
-  // engine's own tracer digest as the combined digest.
+  // One pre-existing engine adopted as LP 0 must produce the exact
+  // serial dispatch order and expose the engine's own tracer digest as
+  // the combined digest.
   auto build = [](Engine& eng, std::vector<int>& ran) {
     eng.tracer().enable(/*ring_capacity=*/16);
     for (int k = 0; k < 32; ++k) {
       eng.schedule_at(Time::nanos(k % 5), [&eng, &ran, k] {
         ran.push_back(k);
-        eng.tracer().instant(trace::Category::kApp, k % 3, "facade/ev",
+        eng.tracer().instant(trace::Category::kApp, k % 3, "adopted/ev",
                              eng.now(), k);
         if (k % 4 == 0) {
           eng.schedule(Time::nanos(2), [&ran, k] { ran.push_back(1000 + k); });

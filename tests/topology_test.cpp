@@ -60,7 +60,7 @@ struct FabricRig {
     }
   }
   sim::Engine eng;
-  net::Network net;
+  net::Fabric net;
   std::vector<std::unique_ptr<RecordingEndpoint>> sinks;
 };
 
@@ -72,7 +72,7 @@ TEST(Topology, TorusRoutesAreMinimalAndDimensionOrdered) {
   net::NetworkConfig cfg;
   cfg.topology = net::TopologyConfig::torus(2, 4, 4);
   sim::Engine eng;
-  net::Network net(eng, 16, cfg);
+  net::Fabric net(eng, 16, cfg);
   ASSERT_EQ(net.switch_count(), 16u);
 
   const auto wrap_dist = [](int a, int b, int extent) {
@@ -110,7 +110,7 @@ TEST(Topology, FatTreeUpDownRoutesNeverReascend) {
     net::NetworkConfig cfg;
     cfg.topology = net::TopologyConfig::fat_tree(levels);
     sim::Engine eng;
-    net::Network net(eng, 16, cfg);  // 4x4+4 Clos, or k=4 fat tree
+    net::Fabric net(eng, 16, cfg);  // 4x4+4 Clos, or k=4 fat tree
     for (int src = 0; src < 16; ++src) {
       for (int dst = 0; dst < 16; ++dst) {
         if (src == dst) continue;
