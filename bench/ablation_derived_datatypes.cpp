@@ -18,7 +18,7 @@ namespace {
 
 Time run_host_pack_send(const dtype::Datatype& type) {
   apps::SimCluster cluster(2, apps::Interconnect::kGigabitTcp);
-  sim::ProcessGroup group(cluster.engine());
+  sim::ProcessGroup group(*cluster.parallel());
   group.spawn([](apps::SimCluster& c, const dtype::Datatype& t) -> sim::Process {
     co_await c.node(0).cpu().compute(
         dtype::host_pack_time(c.node(0).cpu().memory(), t));
@@ -32,7 +32,7 @@ Time run_host_pack_send(const dtype::Datatype& type) {
 
 Time run_inic_gather_send(const dtype::Datatype& type) {
   apps::SimCluster cluster(2, apps::Interconnect::kInicIdeal);
-  sim::ProcessGroup group(cluster.engine());
+  sim::ProcessGroup group(*cluster.parallel());
   group.spawn([](apps::SimCluster& c, const dtype::Datatype& t) -> sim::Process {
     // The gather happens in the card's datapath during the stream.
     co_await c.card(0).send_stream(1, t.packed_size(), 0, std::any{});

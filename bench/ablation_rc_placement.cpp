@@ -42,7 +42,7 @@ Time run_case(int placement, Bytes size) {
                            inic ? apps::Interconnect::kInicIdeal
                                 : apps::Interconnect::kGigabitTcp);
 
-  sim::ProcessGroup group(cluster.engine());
+  sim::ProcessGroup group(*cluster.parallel());
   if (inic) {
     group.spawn([](apps::SimCluster& c, Bytes sz) -> sim::Process {
       // Transform rides the stream: just send.

@@ -24,7 +24,7 @@ PointToPoint measure(apps::Interconnect ic, Bytes size) {
   std::vector<Time> deliveries;
   constexpr int kMessages = 8;
 
-  sim::ProcessGroup group(cluster.engine());
+  sim::ProcessGroup group(*cluster.parallel());
   if (apps::is_inic(ic)) {
     group.spawn([](apps::SimCluster& c, Bytes sz) -> sim::Process {
       for (int m = 0; m < kMessages; ++m) {

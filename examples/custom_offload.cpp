@@ -70,7 +70,7 @@ int main() {
 
   BinCounts total{};
   Time finished = Time::zero();
-  sim::ProcessGroup group(cluster.engine());
+  sim::ProcessGroup group(*cluster.parallel());
   for (int node = 1; node < static_cast<int>(kNodes); ++node) {
     group.spawn(sender(cluster, node));
   }

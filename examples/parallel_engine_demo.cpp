@@ -50,9 +50,7 @@ int main() {
     apps::SimCluster cluster(kHosts, apps::Interconnect::kInicIdeal,
                              model::default_calibration(), copts);
     cluster.enable_tracing(/*ring_capacity=*/64);
-    sim::ProcessGroup group =
-        cluster.parallel() ? sim::ProcessGroup(*cluster.parallel())
-                           : sim::ProcessGroup(cluster.engine());
+    sim::ProcessGroup group(*cluster.parallel());
     for (std::size_t i = 0; i < kHosts; ++i) {
       const auto dst = (i + 1) % kHosts;
       group.spawn_on(cluster.node_lp(i),
@@ -84,9 +82,9 @@ int main() {
                   static_cast<unsigned long long>(digest));
     table.row()
         .add(static_cast<std::int64_t>(threads))
-        .add(static_cast<std::int64_t>(pe ? pe->lp_count() : 1))
-        .add(static_cast<std::int64_t>(pe ? pe->windows() : 0))
-        .add(static_cast<std::int64_t>(pe ? pe->cross_posts() : 0))
+        .add(static_cast<std::int64_t>(pe->lp_count()))
+        .add(static_cast<std::int64_t>(pe->windows()))
+        .add(static_cast<std::int64_t>(pe->cross_posts()))
         .add(static_cast<std::int64_t>(events))
         .add(secs > 0 ? static_cast<double>(events) / secs : 0.0, 0)
         .add(end.as_micros(), 1)

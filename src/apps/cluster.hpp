@@ -88,20 +88,19 @@ struct ClusterOptions {
   /// (the state machines live on the cards); the default keeps every
   /// existing run — and its trace digest — bit-identical.
   CollectiveBackend collective_backend = CollectiveBackend::kHost;
-  /// Worker threads for the parallel event engine (sim/parallel.hpp).
-  /// 0 and 1 both run the classic single-heap serial engine — byte-
-  /// identical to every historical run, so the golden digest pins hold.
-  /// Values >= 2 LP-partition the cluster (net/lp_map.hpp): each switch
-  /// becomes an LP, each host's devices (CPU/DMA/IRQ machinery, INIC
-  /// card or NIC+TCP stack) live on its edge-switch's LP, and the run
-  /// goes through the conservative window scheduler.  The determinism
-  /// contract is thread-count independence *within* the partitioned
-  /// mode: any threads >= 2 produces bit-identical combined digests and
-  /// identical counter totals (docs/TRACING.md), and the counter totals
-  /// equal the serial run's — pinned by tests/parallel_scaling_test.cpp.
-  /// Configurations the partition cannot honour (single-switch star,
-  /// adaptive routing, degraded fallback) run the serial engine
-  /// regardless of this value.
+  /// Worker threads for the parallel event engine (sim/parallel.hpp),
+  /// which drives every run.  Values >= 2 LP-partition the cluster
+  /// (net/lp_map.hpp): each switch becomes an LP, each host's devices
+  /// (CPU/DMA/IRQ machinery, INIC card or NIC+TCP stack) live on its
+  /// edge-switch's LP, and the conservative window scheduler runs the
+  /// LPs on that many workers.  Any threads >= 2 produces bit-identical
+  /// combined digests and identical counter totals (docs/TRACING.md),
+  /// and the counter totals equal the one-LP run's — pinned by
+  /// tests/parallel_scaling_test.cpp.  0, 1, adaptive routing and the
+  /// degraded fallback (and a single-switch star, which has one switch
+  /// anyway) run the one-LP partition: LP 0 owns every switch and host,
+  /// no worker thread starts, and the digest is byte-identical to every
+  /// historical serial run, so the golden digest pins hold.
   std::size_t engine_threads = 1;
 };
 
@@ -118,55 +117,48 @@ class SimCluster {
 
   sim::Engine& engine() { return eng_; }
 
-  /// Non-null when the cluster is LP-sharded (see
-  /// ClusterOptions::engine_threads): the window scheduler whose LP 0 is
-  /// engine().  Workload drivers bind their ProcessGroup to it and
-  /// spawn_on(node_lp(i), ...) so each rank's process executes on the
-  /// LP owning that rank's devices.
+  /// The window scheduler driving the run (never null): LP 0 is
+  /// engine(), and further LPs exist when the run is sharded() (see
+  /// ClusterOptions::engine_threads).  Workload drivers bind their
+  /// ProcessGroup to it and spawn_on(node_lp(i), ...) so each rank's
+  /// process executes on the LP owning that rank's devices.
   sim::ParallelEngine* parallel() { return parallel_.get(); }
-  bool sharded() const { return parallel_ != nullptr; }
+  /// True when the run is spread over several per-switch LPs.
+  bool sharded() const { return parallel_->lp_count() > 1; }
 
-  /// LP owning node `i`'s devices (0 when serial).
+  /// LP owning node `i`'s devices.
   std::size_t node_lp(std::size_t i) const {
-    return parallel_ ? partition_.lp_of_host.at(i) : 0;
+    return partition_.lp_of_host.at(i);
   }
-  /// The shard engine node `i`'s devices are bound to (engine() serial).
-  sim::Engine& node_engine(std::size_t i) {
-    return parallel_ ? parallel_->lp(partition_.lp_of_host.at(i)) : eng_;
-  }
-  /// The LP partition driving a sharded run (lookahead, cross-links);
-  /// nullptr when serial.
-  const net::LpPartition* partition() const {
-    return parallel_ ? &partition_ : nullptr;
-  }
+  /// The shard engine node `i`'s devices are bound to.
+  sim::Engine& node_engine(std::size_t i) { return parallel_->lp(node_lp(i)); }
+  /// The LP partition driving the run (never null): lookahead,
+  /// cross-links, host and switch placement.  One LP owning everything
+  /// unless sharded().
+  const net::LpPartition* partition() const { return &partition_; }
 
-  /// Runs the simulation to completion: the conservative window
-  /// scheduler over the topology-derived LP partition when sharded()
-  /// (options().engine_threads >= 2 on a configuration that can shard),
-  /// the classic serial dispatch loop otherwise.  Returns the final
-  /// simulated time.
+  /// Runs the simulation to completion through the conservative window
+  /// scheduler over partition().  On one LP that is a single window on
+  /// engine().  Returns the final simulated time.
   Time run();
 
-  /// Enables tracing on every LP lane (just the main engine's when
-  /// serial) — use instead of tracer().enable() so sharded runs record
-  /// all lanes and digest() covers the full event stream.
+  /// Enables tracing on every LP lane — use instead of tracer().enable()
+  /// so sharded runs record all lanes and digest() covers the full event
+  /// stream.
   void enable_tracing(std::size_t ring_capacity = 0);
 
-  /// The run's determinism digest: the engine tracer digest when serial
-  /// (golden pins), ParallelEngine::combined_digest() when sharded.
-  std::uint64_t digest() const {
-    return parallel_ ? parallel_->combined_digest() : eng_.tracer().digest();
-  }
+  /// The run's determinism digest, ParallelEngine::combined_digest().  On
+  /// one LP that is engine()'s tracer digest unchanged (the golden pins).
+  std::uint64_t digest() const { return parallel_->combined_digest(); }
   /// Trace records emitted across every lane.
   std::uint64_t trace_records() const;
-  /// Events executed across every shard (engine().events_executed()
-  /// serial).
+  /// Events executed across every LP.
   std::uint64_t events_executed() const {
-    return parallel_ ? parallel_->events_executed() : eng_.events_executed();
+    return parallel_->events_executed();
   }
   /// Counter snapshot merged across every LP's registry: per-LP totals
   /// summed by (category, node, name), in the registry's deterministic
-  /// order.  Identical to engine().counters().snapshot() when serial.
+  /// order.  Identical to engine().counters().snapshot() on one LP.
   std::vector<trace::CounterSample> counters_snapshot();
 
   /// The engine's trace stream; enable() it before a run to record.
@@ -228,11 +220,10 @@ class SimCluster {
   ClusterOptions opts_;
   bool env_trace_json_ = false;
   bool env_trace_digest_ = false;
-  // LP-sharded mode (engine_threads >= 2 on a shardable configuration):
-  // the topology-derived partition, the extra shard engines (LP 0 is
-  // eng_), and the window scheduler adopting all of them.  Declared
-  // before network_/nodes_ (which bind to the shard engines) so those
-  // are destroyed first, and parallel_ after shard_engines_ so its
+  // The LP partition (one LP unless sharded), the extra shard engines
+  // (LP 0 is eng_), and the window scheduler adopting all of them.
+  // Declared before network_/nodes_ (which bind to the shard engines) so
+  // those are destroyed first, and parallel_ after shard_engines_ so its
   // worker pool stops while every shard it references is still alive.
   net::LpPartition partition_;
   std::vector<std::unique_ptr<sim::Engine>> shard_engines_;

@@ -79,13 +79,6 @@ KvCounters kv_counters(sim::Engine& eng) {
   return ctr;
 }
 
-/// Group bound to the cluster's parallel scheduler when sharded, to the
-/// serial engine otherwise; pair with spawn_on(cluster.node_lp(p), ...).
-sim::ProcessGroup cluster_group(SimCluster& cluster) {
-  return cluster.parallel() ? sim::ProcessGroup(*cluster.parallel())
-                            : sim::ProcessGroup(cluster.engine());
-}
-
 bool is_pow2(std::size_t n) { return n != 0 && (n & (n - 1)) == 0; }
 
 /// Issues one request at its scheduled time.  One process per request is
@@ -252,7 +245,7 @@ KvRunResult run_kv_serving(SimCluster& cluster, const KvRunOptions& opts) {
   // their response transfers sit in each shard's local inflight list.
   // Clients (issuers + sinks) form the joined group whose last finish is
   // the run makespan.
-  sim::ProcessGroup servers = cluster_group(cluster);
+  sim::ProcessGroup servers(*cluster.parallel());
   std::vector<std::unique_ptr<proto::TaggedInbox>> server_inboxes;
   server_inboxes.reserve(opts.servers);
   for (std::size_t s = 0; s < opts.servers; ++s) {
@@ -270,7 +263,7 @@ KvRunResult run_kv_serving(SimCluster& cluster, const KvRunOptions& opts) {
   // One verify flag per client (distinct memory locations): the sinks run
   // on their nodes' LPs, so a single shared bool would be a data race.
   std::vector<std::uint8_t> client_ok(opts.clients, 1);
-  sim::ProcessGroup clients = cluster_group(cluster);
+  sim::ProcessGroup clients(*cluster.parallel());
   for (std::size_t c = 0; c < opts.clients; ++c) {
     clients.spawn_on(cluster.node_lp(c),
                      collect_responses(cluster, static_cast<int>(c),

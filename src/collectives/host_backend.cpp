@@ -71,13 +71,6 @@ class Transport {
   proto::TaggedInbox inbox_;
 };
 
-/// Group bound to the cluster's parallel scheduler when sharded, to the
-/// serial engine otherwise; pair with spawn_on(cluster.node_lp(p), ...).
-sim::ProcessGroup cluster_group(apps::SimCluster& cluster) {
-  return cluster.parallel() ? sim::ProcessGroup(*cluster.parallel())
-                            : sim::ProcessGroup(cluster.engine());
-}
-
 Bytes vec_bytes(std::size_t elements) { return Bytes(elements * sizeof(double)); }
 
 /// Logical-rank -> physical-node permutation for the topology-aware
@@ -201,7 +194,7 @@ CollectiveResult run_barrier(apps::SimCluster& cluster) {
   const std::size_t p_count = cluster.size();
   std::vector<Time> entered(p_count), left(p_count);
 
-  sim::ProcessGroup group = cluster_group(cluster);
+  sim::ProcessGroup group(*cluster.parallel());
   for (std::size_t p = 0; p < p_count; ++p) {
     // Staggered entry makes the barrier property non-trivial: the last
     // entrant arrives (P-1) * 50 us after the first.
@@ -230,7 +223,7 @@ CollectiveResult run_broadcast(apps::SimCluster& cluster, std::size_t elements,
   std::vector<DoubleVec> data(p_count);  // indexed by physical node
   data[to_physical(order, 0)] = root_data;
 
-  sim::ProcessGroup group = cluster_group(cluster);
+  sim::ProcessGroup group(*cluster.parallel());
   for (std::size_t p = 0; p < p_count; ++p) {
     const std::size_t phys = to_physical(order, p);
     group.spawn_on(cluster.node_lp(phys),
@@ -262,7 +255,7 @@ CollectiveResult run_reduce(apps::SimCluster& cluster, std::size_t elements,
     for (std::size_t i = 0; i < elements; ++i) expected[i] += data[p][i];
   }
 
-  sim::ProcessGroup group = cluster_group(cluster);
+  sim::ProcessGroup group(*cluster.parallel());
   for (std::size_t p = 0; p < p_count; ++p) {
     const std::size_t phys = to_physical(order, p);
     group.spawn_on(cluster.node_lp(phys),
@@ -328,7 +321,7 @@ CollectiveResult run_allreduce(apps::SimCluster& cluster, std::size_t elements,
     for (auto& s : sends) co_await *s;
   };
 
-  sim::ProcessGroup group = cluster_group(cluster);
+  sim::ProcessGroup group(*cluster.parallel());
   for (std::size_t p = 0; p < p_count; ++p) {
     group.spawn_on(cluster.node_lp(to_physical(order, p)), rank_proc(p));
   }
@@ -411,7 +404,7 @@ CollectiveResult run_alltoall(apps::SimCluster& cluster, std::size_t elements,
     }
   };
 
-  sim::ProcessGroup group = cluster_group(cluster);
+  sim::ProcessGroup group(*cluster.parallel());
   for (std::size_t p = 0; p < p_count; ++p) {
     group.spawn_on(cluster.node_lp(p), rank_proc(p));
   }

@@ -40,13 +40,6 @@ DoubleVec make_vector(std::size_t elements, std::uint64_t seed) {
   return v;
 }
 
-/// Group bound to the cluster's parallel scheduler when sharded, to the
-/// serial engine otherwise; pair with spawn_on(cluster.node_lp(p), ...).
-sim::ProcessGroup cluster_group(apps::SimCluster& cluster) {
-  return cluster.parallel() ? sim::ProcessGroup(*cluster.parallel())
-                            : sim::ProcessGroup(cluster.engine());
-}
-
 /// Hop-ordered binomial tree: order[l] is the physical node acting as
 /// logical rank l; role[l] holds its physical parent/children.  Logical
 /// rank l's parent is l - lowbit(l); its children are l + m for every
@@ -107,7 +100,7 @@ CollectiveResult nic_barrier(apps::SimCluster& cluster) {
   const std::uint64_t op_id = cluster.next_collective_op();
   std::vector<Time> entered(p_count), left(p_count);
 
-  sim::ProcessGroup group = cluster_group(cluster);
+  sim::ProcessGroup group(*cluster.parallel());
   for (std::size_t l = 0; l < p_count; ++l) {
     // Same staggered entry as the host barrier: the release property
     // must hold even when the last entrant is (P-1) * 50 us late.
@@ -137,7 +130,7 @@ CollectiveResult nic_broadcast(apps::SimCluster& cluster,
   std::vector<DoubleVec> data(p_count);  // indexed by physical node
   data[tree.order[0]] = root_data;
 
-  sim::ProcessGroup group = cluster_group(cluster);
+  sim::ProcessGroup group(*cluster.parallel());
   for (std::size_t l = 0; l < p_count; ++l) {
     const std::size_t phys = tree.order[l];
     group.spawn_on(cluster.node_lp(phys),
@@ -178,7 +171,7 @@ CollectiveResult nic_reduce_or_allreduce(
     }
   }
 
-  sim::ProcessGroup group = cluster_group(cluster);
+  sim::ProcessGroup group(*cluster.parallel());
   for (std::size_t l = 0; l < p_count; ++l) {
     const std::size_t phys = tree.order[l];
     group.spawn_on(

@@ -26,18 +26,18 @@ const char* intern_counter_name(std::string name) {
 }  // namespace
 
 Fabric::Fabric(sim::Engine& eng, std::size_t ports, const NetworkConfig& cfg)
-    : Fabric(eng, nullptr, nullptr, ports, cfg) {}
+    : Fabric(eng, nullptr, nullptr, build_topology(cfg.topology, ports),
+             cfg) {}
 
 Fabric::Fabric(sim::ParallelEngine& pe, const LpPartition& part,
-               std::size_t ports, const NetworkConfig& cfg)
-    : Fabric(pe.lp(0), &pe, &part, ports, cfg) {}
+               TopologyPlan plan, const NetworkConfig& cfg)
+    : Fabric(pe.lp(0), &pe, &part, std::move(plan), cfg) {}
 
 Fabric::Fabric(sim::Engine& eng, sim::ParallelEngine* pe,
-               const LpPartition* part, std::size_t ports,
+               const LpPartition* part, TopologyPlan plan,
                const NetworkConfig& cfg)
-    : eng_(eng), pe_(pe), part_(part), cfg_(cfg),
-      plan_(build_topology(cfg.topology, ports)) {
-  if (pe_ != nullptr && cfg_.routing.adaptive) {
+    : eng_(eng), pe_(pe), part_(part), cfg_(cfg), plan_(std::move(plan)) {
+  if (sharded() && cfg_.routing.adaptive) {
     throw std::invalid_argument(
         "Fabric: adaptive routing mutates next-port tables and link-health "
         "state shared by every switch; it is not supported on an LP-sharded "
@@ -122,7 +122,7 @@ sim::Engine& Fabric::host_engine(int host) {
 }
 
 void Fabric::require_unsharded(const char* what) const {
-  if (pe_ == nullptr) return;
+  if (!sharded()) return;
   throw std::logic_error(
       std::string(what) +
       ": fault hooks mutate per-port state owned by other LPs with no "

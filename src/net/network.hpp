@@ -170,18 +170,20 @@ class Fabric {
  public:
   Fabric(sim::Engine& eng, std::size_t ports, const NetworkConfig& cfg = {});
 
-  /// LP-sharded fabric (docs/ENGINE.md ownership rules): every switch's
-  /// mutable state — ports, buffers, egress serializers, per-lane
-  /// counters — lives on its own LP from `part` and is touched only by
-  /// events executing on that LP's shard engine; an interior hop whose
-  /// peer lives on another LP crosses via `pe.post()` at the link+switch
-  /// latency (>= the partition's lookahead by construction).  Host-facing
-  /// work (inject, delivery) runs on the host's edge-switch LP.  Both
-  /// `pe` and `part` must outlive the fabric.  Fault hooks and adaptive
-  /// routing mutate state across LPs and are rejected in this mode
-  /// (std::logic_error / std::invalid_argument) — callers needing them
-  /// run unsharded.
-  Fabric(sim::ParallelEngine& pe, const LpPartition& part, std::size_t ports,
+  /// Fabric over an LP partition of `plan` (docs/ENGINE.md ownership
+  /// rules): every switch's mutable state — ports, buffers, egress
+  /// serializers, per-lane counters — lives on its LP from `part` and is
+  /// touched only by events executing on that LP's shard engine; an
+  /// interior hop whose peer lives on another LP crosses via `pe.post()`
+  /// at the link+switch latency (>= the partition's lookahead by
+  /// construction).  Host-facing work (inject, delivery) runs on the
+  /// host's edge-switch LP.  `plan` is the materialized `cfg.topology`
+  /// the partition was derived from.  Both `pe` and `part` must outlive
+  /// the fabric.  A one-LP partition behaves exactly like the
+  /// single-engine constructor.  Fault hooks and adaptive routing mutate
+  /// state across LPs and are rejected when `part` has several LPs
+  /// (std::logic_error / std::invalid_argument).
+  Fabric(sim::ParallelEngine& pe, const LpPartition& part, TopologyPlan plan,
          const NetworkConfig& cfg);
 
   /// Attaches the device that receives frames destined to `node`.
@@ -364,8 +366,8 @@ class Fabric {
   /// unaffected; admission uses the new capacity.
   void set_port_buffer_factor(int node, double factor);
 
-  /// True when the fabric runs LP-sharded (the second constructor).
-  bool sharded() const { return pe_ != nullptr; }
+  /// True when the fabric's switches are spread over several LPs.
+  bool sharded() const { return part_ != nullptr && part_->lp_count > 1; }
 
  private:
   /// Per-LP fabric statistics: one lane of counters per LP, written only
@@ -391,7 +393,7 @@ class Fabric {
   };
 
   Fabric(sim::Engine& eng, sim::ParallelEngine* pe, const LpPartition* part,
-         std::size_t ports, const NetworkConfig& cfg);
+         TopologyPlan plan, const NetworkConfig& cfg);
 
   std::size_t lane_of_switch(int sw) const {
     return part_ == nullptr
@@ -407,7 +409,7 @@ class Fabric {
   sim::Engine& switch_engine(int sw);
   /// The engine owning host `h`'s device-side events (its edge switch's).
   sim::Engine& host_engine(int host);
-  /// Throws std::logic_error when sharded: fault hooks mutate port state
+  /// Throws std::logic_error when sharded(): fault hooks mutate port state
   /// owned by other LPs with no delay, which the conservative windows
   /// cannot order.
   void require_unsharded(const char* what) const;

@@ -454,7 +454,7 @@ RunMetrics failover_metrics(apps::CollectiveBackend backend,
   // end to end (send through delivery) over the re-converged tables.
   const Bytes bulk = Bytes::kib(256);
   {
-    sim::ProcessGroup group(cluster.engine());
+    sim::ProcessGroup group(*cluster.parallel());
     group.spawn(cluster.transfer(0, static_cast<int>(p) - 1, bulk, 77));
     group.spawn([](apps::SimCluster& c, std::size_t dst) -> sim::Process {
       (void)co_await c.inbox(dst).recv();
@@ -1059,9 +1059,7 @@ ClusterScalingRun run_cluster_scaling_point(const net::TopologyConfig& topo,
   apps::SimCluster cluster(hosts, apps::Interconnect::kInicIdeal,
                            model::default_calibration(), copts);
   cluster.enable_tracing(/*ring_capacity=*/64);
-  sim::ProcessGroup group =
-      cluster.parallel() ? sim::ProcessGroup(*cluster.parallel())
-                         : sim::ProcessGroup(cluster.engine());
+  sim::ProcessGroup group(*cluster.parallel());
   constexpr int kRounds = 4;
   const Bytes kSize = Bytes::kib(64);
   for (std::size_t i = 0; i < hosts; ++i) {
@@ -1078,10 +1076,9 @@ ClusterScalingRun run_cluster_scaling_point(const net::TopologyConfig& topo,
   out.digest = cluster.digest();
   out.trace_records = cluster.trace_records();
   out.events = cluster.events_executed();
-  if (const net::LpPartition* part = cluster.partition()) {
-    out.lp_count = part->lp_count;
-  }
-  if (sim::ParallelEngine* pe = cluster.parallel()) {
+  if (cluster.sharded()) {
+    const sim::ParallelEngine* pe = cluster.parallel();
+    out.lp_count = pe->lp_count();
     out.windows = pe->windows();
     out.cross_posts = pe->cross_posts();
     out.shards.reserve(pe->shard_stats().size());

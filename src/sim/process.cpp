@@ -31,13 +31,9 @@ void ProcessGroup::spawn(Process p, std::string name) {
 
 void ProcessGroup::spawn_on(std::size_t lp, Process p, std::string name) {
   if (pe_ == nullptr) {
-    if (lp == 0) {
-      spawn_impl(eng_, std::move(p), std::move(name));
-      return;
-    }
     throw std::logic_error(
-        "ProcessGroup::spawn_on: group is bound to a single Engine; only "
-        "LP 0 exists");
+        "ProcessGroup::spawn_on: group is bound to a single Engine, not a "
+        "ParallelEngine; use spawn()");
   }
   spawn_impl(pe_->lp(lp), std::move(p), std::move(name));
 }

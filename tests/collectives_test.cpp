@@ -19,7 +19,9 @@ TEST_P(Collectives, BarrierHoldsEveryRank) {
   apps::SimCluster cluster(p, ic);
   const auto r = barrier(cluster);
   EXPECT_TRUE(r.verified) << to_string(ic) << " P=" << p;
-  if (p > 1) EXPECT_GT(r.total, Time::zero());
+  if (p > 1) {
+    EXPECT_GT(r.total, Time::zero());
+  }
 }
 
 TEST_P(Collectives, BroadcastReachesEveryRank) {

@@ -11,11 +11,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "apps/cluster.hpp"
 #include "apps/kv_app.hpp"
 #include "common/units.hpp"
+#include "fault/fault.hpp"
 #include "model/calibration.hpp"
 #include "net/topology.hpp"
 #include "sim/process.hpp"
@@ -34,8 +36,8 @@ struct TopoCase {
 // SimCluster device models on LPs: digest/counter contract
 // ---------------------------------------------------------------------
 //
-// Digest semantics (docs/TRACING.md): engine_threads <= 1 is the
-// historical serial dispatch — its digest is the golden-pinned value.
+// Digest semantics (docs/TRACING.md): engine_threads <= 1 is the one-LP
+// partition — its digest is the golden-pinned serial value.
 // engine_threads >= 2 shards the device models across per-switch LPs
 // with per-lane frame ids, so the combined digest is a DIFFERENT
 // constant — but the same one for every thread count >= 2, and the
@@ -62,24 +64,24 @@ struct ClusterRun {
   bool sharded = false;
   std::size_t lp_count = 1;
   std::uint64_t cross_posts = 0;
+  std::uint64_t fallback_transfers = 0;
 };
 
 /// A neighbour-ring transfer workload with every rank coroutine spawned
 /// on its node's LP; SimCluster::run() drives the engine_threads
-/// dispatch path under test.
-ClusterRun cluster_run(const TopoCase& tc, std::size_t threads) {
-  apps::ClusterOptions copts;
-  copts.topology = tc.config;
-  copts.engine_threads = threads;
-  apps::SimCluster cluster(tc.hosts, apps::Interconnect::kInicIdeal,
+/// dispatch path under test.  A non-empty `faults` plan is armed through
+/// fault::FaultInjector before the ranks are spawned.
+ClusterRun ring_run(std::size_t hosts, const apps::ClusterOptions& copts,
+                    const fault::FaultPlan& faults = {}) {
+  apps::SimCluster cluster(hosts, apps::Interconnect::kInicIdeal,
                            model::default_calibration(), copts);
   cluster.enable_tracing(/*ring_capacity=*/64);
-  sim::ProcessGroup group =
-      cluster.parallel() ? sim::ProcessGroup(*cluster.parallel())
-                         : sim::ProcessGroup(cluster.engine());
-  for (std::size_t i = 0; i < tc.hosts; ++i) {
+  std::optional<fault::FaultInjector> injector;
+  if (!faults.empty()) injector.emplace(cluster, faults);
+  sim::ProcessGroup group(*cluster.parallel());
+  for (std::size_t i = 0; i < hosts; ++i) {
     const int src = static_cast<int>(i);
-    const int dst = static_cast<int>((i + 1) % tc.hosts);
+    const int dst = static_cast<int>((i + 1) % hosts);
     group.spawn_on(cluster.node_lp(i),
                    cluster.transfer(src, dst, Bytes::kib(4), i));
     group.spawn_on(cluster.node_lp(static_cast<std::size_t>(dst)),
@@ -96,13 +98,17 @@ ClusterRun cluster_run(const TopoCase& tc, std::size_t threads) {
   out.events = cluster.events_executed();
   out.counters = cluster.counters_snapshot();
   out.sharded = cluster.sharded();
-  if (const net::LpPartition* part = cluster.partition()) {
-    out.lp_count = part->lp_count;
-  }
-  if (const sim::ParallelEngine* pe = cluster.parallel()) {
-    out.cross_posts = pe->cross_posts();
-  }
+  out.lp_count = cluster.parallel()->lp_count();
+  out.cross_posts = cluster.parallel()->cross_posts();
+  out.fallback_transfers = cluster.fallback_transfers();
   return out;
+}
+
+ClusterRun cluster_run(const TopoCase& tc, std::size_t threads) {
+  apps::ClusterOptions copts;
+  copts.topology = tc.config;
+  copts.engine_threads = threads;
+  return ring_run(tc.hosts, copts);
 }
 
 /// Open-loop KV serving on the same cluster shape; returns the merged
@@ -217,6 +223,86 @@ TEST(ParallelScaling, FatTree1024StressPoint) {
   expect_same_counters(four.counters, serial.counters, tc.label, 4);
   EXPECT_GT(two.lp_count, 100u);
   EXPECT_GT(two.cross_posts, 0u);
+}
+
+// ---------------------------------------------------------------------
+// Features the per-switch partition cannot honour: one-LP runs
+// ---------------------------------------------------------------------
+//
+// A star, adaptive routing and the degraded-INIC fallback run on the
+// one-LP partition whatever engine_threads asks for: LP 0 owns every
+// switch and host, so the fault hooks (which touch state across
+// switches) stay legal and the run is identical at any thread count.
+
+std::uint64_t counter_total(const std::vector<trace::CounterSample>& counters,
+                            const char* name) {
+  std::uint64_t total = 0;
+  for (const auto& c : counters) {
+    if (c.name == name) total += c.value;
+  }
+  return total;
+}
+
+TEST(ParallelScaling, UnshardableClustersRunAsOneLpAtAnyThreadCount) {
+  constexpr std::size_t kHosts = 8;
+  const net::TopologyConfig fat = net::TopologyConfig::fat_tree(2);
+  // The cut: host 0's first uplink, so its off-switch traffic must be
+  // rerouted around it.
+  const net::TopologyPlan plan = net::build_topology(fat, kHosts);
+  const int edge = plan.hosts.front().sw;
+  int spine = -1;
+  for (const auto& port : plan.switches[static_cast<std::size_t>(edge)].ports) {
+    if (port.peer_switch >= 0) {
+      spine = port.peer_switch;
+      break;
+    }
+  }
+  ASSERT_GE(spine, 0);
+
+  struct Case {
+    const char* label;
+    apps::ClusterOptions opts;
+    fault::FaultPlan faults;
+  };
+  std::vector<Case> cases(3);
+  cases[0].label = "star";
+  cases[1].label = "fattree2+adaptive_routing+link_cut";
+  cases[1].opts.topology = fat;
+  cases[1].opts.adaptive_routing = true;
+  cases[1].opts.inic_hw_retransmit = true;
+  cases[1].opts.inic_max_retries = 8;
+  cases[1].faults.with_interior_link_failed(edge, spine, Time::micros(10));
+  cases[2].label = "fattree2+degraded_fallback+card_reset";
+  cases[2].opts.topology = fat;
+  cases[2].opts.degraded_fallback = true;
+  cases[2].opts.inic_hw_retransmit = true;
+  cases[2].opts.inic_max_retries = 16;
+  cases[2].faults.with_card_reset(2, Time::zero(), Time::micros(50));
+
+  for (Case& c : cases) {
+    ClusterRun ref;
+    for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+      c.opts.engine_threads = threads;
+      ClusterRun run;
+      EXPECT_NO_THROW(run = ring_run(kHosts, c.opts, c.faults))
+          << c.label << " t=" << threads;
+      EXPECT_FALSE(run.sharded) << c.label << " t=" << threads;
+      EXPECT_EQ(run.lp_count, 1u) << c.label << " t=" << threads;
+      if (threads == 1) {
+        ref = run;
+        continue;
+      }
+      expect_same_run(run, ref, c.label, threads);
+      expect_same_counters(run.counters, ref.counters, c.label, threads);
+    }
+    if (&c == &cases[1]) {
+      // The cut was declared and routed around.
+      EXPECT_GT(counter_total(ref.counters, "net/route_epoch"), 0u);
+    }
+    if (&c == &cases[2]) {
+      EXPECT_GT(ref.fallback_transfers, 0u);  // the reset forced TCP
+    }
+  }
 }
 
 }  // namespace

@@ -455,7 +455,9 @@ TEST(TraceEnv, CapturedOncePerProcessAndSitesAgree) {
   EXPECT_EQ(&a, &b);
   // ctest runs this binary without ACC_TRACE set; guard the expectation
   // so a developer running it traced doesn't see a confusing failure.
-  if (!a.trace_json) EXPECT_TRUE(a.trace_path.empty());
+  if (!a.trace_json) {
+    EXPECT_TRUE(a.trace_path.empty());
+  }
 }
 
 }  // namespace

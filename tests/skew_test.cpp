@@ -61,8 +61,12 @@ TEST(Splitters, SplitterBucketMatchesPartition) {
   for (algo::Key k : keys) {
     const std::size_t b = algo::splitter_bucket(k, splitters);
     ASSERT_LT(b, 8u);
-    if (b > 0) EXPECT_GE(k, splitters[b - 1]);
-    if (b < 7) EXPECT_LT(k, splitters[b]);
+    if (b > 0) {
+      EXPECT_GE(k, splitters[b - 1]);
+    }
+    if (b < 7) {
+      EXPECT_LT(k, splitters[b]);
+    }
   }
 }
 
