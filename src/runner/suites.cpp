@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <optional>
@@ -74,22 +75,34 @@ RunMetrics sort_sim_metrics(apps::Interconnect ic, std::size_t keys,
   apps::SortRunOptions opts;
   opts.verify = false;
   const auto r = apps::run_parallel_sort(cluster, keys, opts);
+  // Communication is what the three sort phases leave of the total.
+  const Time comm =
+      p == 1 ? Time::zero()
+             : r.total - r.count_sort - r.bucket_phase1 - r.bucket_phase2;
+  const Bytes partition = model::SortAnalyticModel().partition_size(keys, p);
   RunMetrics m;
   m.sim_time = r.total;
   m.speedup = serial / r.total;
   m.counters = {{"count_sort_ns", r.count_sort.as_nanos()},
                 {"bucket_phase1_ns", r.bucket_phase1.as_nanos()},
                 {"bucket_phase2_ns", r.bucket_phase2.as_nanos()},
-                {"redistribution_ns", r.redistribution.as_nanos()}};
+                {"redistribution_ns", r.redistribution.as_nanos()},
+                {"comm_ns", comm.as_nanos()},
+                {"partition_bytes",
+                 static_cast<std::int64_t>(partition.count())}};
   capture_run(cluster, m);
   return m;
 }
 
 /// Sort run under a modified calibration (ablations).  No speedup — the
 /// serial baseline of a non-default calibration is not what the ablation
-/// compares against (each sweep is self-relative).
+/// compares against (each sweep is self-relative).  `dma_terms` adds the
+/// two sides of Eq. 15's threshold: node 0's DMA efficiency on one
+/// threshold-sized transfer and the accumulation delay of N = 256
+/// buckets.
 RunMetrics sort_ablation_metrics(const model::Calibration& cal,
-                                 std::size_t keys, std::size_t p) {
+                                 std::size_t keys, std::size_t p,
+                                 bool dma_terms = false) {
   apps::SimCluster cluster(p, apps::Interconnect::kInicIdeal, cal);
   cluster.tracer().enable(/*ring_capacity=*/256);
   apps::SortRunOptions opts;
@@ -98,6 +111,15 @@ RunMetrics sort_ablation_metrics(const model::Calibration& cal,
   RunMetrics m;
   m.sim_time = r.total;
   m.counters = {{"redistribution_ns", r.redistribution.as_nanos()}};
+  if (dma_terms) {
+    const double efficiency =
+        cluster.node(0).dma().efficiency(cal.dma_efficiency_threshold);
+    m.counters.emplace_back("dma_efficiency_ppm",
+                            std::llround(efficiency * 1e6));
+    m.counters.emplace_back(
+        "accumulation_delay_ns",
+        model::SortAnalyticModel(cal).t_dfg(256).as_nanos());
+  }
   capture_run(cluster, m);
   return m;
 }
@@ -257,7 +279,9 @@ std::vector<RunPoint> dma_threshold_points(bool reduced) {
         {{"threshold_kib", std::to_string(kib)},
          {"keys", num(keys)},
          {"P", num(p)}},
-        [cal, keys, p] { return sort_ablation_metrics(cal, keys, p); }});
+        [cal, keys, p] {
+          return sort_ablation_metrics(cal, keys, p, /*dma_terms=*/true);
+        }});
   }
   return points;
 }
@@ -1237,10 +1261,26 @@ const std::vector<Suite>& suites() {
   static const std::vector<Suite> table = {
       {.name = "fig8a_fft_sim", .points = fig8a_points},
       {.name = "fig8b_sort_sim", .points = fig8b_points},
-      {.name = "fig4b_transpose", .points = fig4b_points},
-      {.name = "fig5a_sort_components", .points = fig5a_points},
-      {.name = "ablation_packet_size", .points = packet_size_points},
-      {.name = "ablation_dma_threshold", .points = dma_threshold_points},
+      {.name = "fig4b_transpose",
+       .points = fig4b_points,
+       .columns = {{"NIC comm (ms)", "nic_comm_ns", 1e-6, 2},
+                   {"NIC compute (ms)", "nic_compute_ns", 1e-6, 2},
+                   {"INIC trans (ms)", "inic_transpose_ns", 1e-6, 2},
+                   {"partition (KB)", "partition_bytes", 1.0 / 1024, 1}}},
+      {.name = "fig5a_sort_components",
+       .points = fig5a_points,
+       .columns = {{"count sort (ms)", "count_sort_ns", 1e-6, 1},
+                   {"phase1 bucket (ms)", "bucket_phase1_ns", 1e-6, 1},
+                   {"phase2 bucket (ms)", "bucket_phase2_ns", 1e-6, 1},
+                   {"comm (ms)", "comm_ns", 1e-6, 1},
+                   {"partition (KB)", "partition_bytes", 1.0 / 1024, 1}}},
+      {.name = "ablation_packet_size",
+       .points = packet_size_points,
+       .columns = {{"redistribution (ms)", "redistribution_ns", 1e-6, 1}}},
+      {.name = "ablation_dma_threshold",
+       .points = dma_threshold_points,
+       .columns = {{"DMA efficiency", "dma_efficiency_ppm", 1e-6, 3},
+                   {"N x thr delay (ms)", "accumulation_delay_ns", 1e-6, 1}}},
       // Collectives over multi-hop fabrics (P up to 1024 in the full
       // grid; reduced keeps P <= 256 so CI and the TSan sweep stay fast).
       {.name = "fig_scaling_topology",

@@ -38,6 +38,9 @@ class Process {
                                    "process/finish", p.engine->now());
       }
       if (p.on_finished) p.on_finished();
+      // A child finishing inside its parent's inline start returns to
+      // that await_suspend, which lets the parent continue.
+      if (p.starting) return std::noop_coroutine();
       if (p.continuation) return p.continuation;
       if (p.exception && p.engine) {
         // Detached root process: surface the failure through the engine.
@@ -54,6 +57,7 @@ class Process {
     std::exception_ptr exception;
     bool finished = false;
     bool started = false;                // body has begun executing
+    bool starting = false;               // inside the awaiter's inline start
     InlineCallback on_finished;          // completion hook (Latch, tests)
 
     Process get_return_object() {
@@ -93,16 +97,22 @@ class Process {
     struct Awaiter {
       Handle h;
       bool await_ready() { return h.promise().finished; }
-      std::coroutine_handle<> await_suspend(std::coroutine_handle<> parent) {
-        h.promise().continuation = parent;
-        if (!h.promise().started) {
-          // Lazy child: start it now via symmetric transfer.
-          h.promise().started = true;
-          return h;
+      bool await_suspend(std::coroutine_handle<> parent) {
+        promise_type& p = h.promise();
+        p.continuation = parent;
+        if (!p.started) {
+          // Lazy child: run it inline until it first suspends or ends.
+          // One that ends synchronously resumes the parent by returning
+          // false, so a loop of such awaits never nests stack frames.
+          p.started = true;
+          p.starting = true;
+          h.resume();
+          p.starting = false;
         }
-        // Already running (spawned earlier): just wait for completion —
-        // resuming it here would corrupt its own suspend point.
-        return std::noop_coroutine();
+        // Otherwise it is already running (spawned earlier): just wait
+        // for completion — resuming it here would corrupt its own
+        // suspend point.
+        return !p.finished;
       }
       void await_resume() {
         if (h.promise().exception) {

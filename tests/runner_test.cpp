@@ -9,6 +9,8 @@
 // failure, not a flaky digest.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include <cstdint>
 #include <limits>
 #include <set>
@@ -182,6 +184,23 @@ TEST(Suites, NamesAreUniqueAndMatchTheirPoints) {
       const auto points = suite.points(reduced);
       EXPECT_FALSE(points.empty()) << suite.name;
       for (const auto& p : points) EXPECT_EQ(p.suite, suite.name) << p.name;
+    }
+  }
+}
+
+TEST(Suites, EveryColumnReadsACounterItsPointsEmit) {
+  // RunRecord::counter() reads 0 for an unknown name, so a misspelled
+  // column would print zeros without this check.
+  for (const auto& suite : runner::suites()) {
+    for (const auto& r : reduced_records(suite.name)) {
+      if (!r.ok) continue;
+      for (const auto& c : suite.columns) {
+        const bool emitted = std::any_of(
+            r.metrics.counters.begin(), r.metrics.counters.end(),
+            [&](const auto& kv) { return kv.first == c.counter; });
+        EXPECT_TRUE(emitted) << suite.name << "/" << r.name << " lacks "
+                             << c.counter;
+      }
     }
   }
 }

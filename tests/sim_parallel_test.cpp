@@ -360,6 +360,7 @@ TEST(ParallelEngine, WatchdogBudgetSeedsEveryShard) {
   };
   peng.lp(0).schedule_at(Time::zero(), [hop] { (*hop)(0); });
   EXPECT_THROW(peng.run(), sim::WatchdogTimeout);
+  *hop = nullptr;  // break the self-capture cycle
 }
 
 TEST(ParallelEngine, WatchdogFiresAtTheBarrierWhenWorkIsBeyondBudget) {
