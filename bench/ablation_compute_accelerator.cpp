@@ -16,8 +16,11 @@ using namespace acc;
 namespace {
 
 Time stream_time(inic::InicConfig cfg, int offload_rounds) {
-  sim::Engine eng;
-  net::Fabric network(eng, 2);
+  sim::ParallelEngine pe(1, {});
+  sim::Engine& eng = pe.lp(0);
+  const net::TopologyPlan plan = net::build_topology({}, 2);
+  const net::LpPartition part = net::one_lp_partition(plan);
+  net::Fabric network(pe, part, plan, {});
   hw::Node a(eng, 0), b(eng, 1);
   inic::InicCard card_a(a, network, cfg), card_b(b, network, cfg);
 

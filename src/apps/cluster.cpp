@@ -114,32 +114,21 @@ SimCluster::SimCluster(std::size_t n, Interconnect ic,
   // no cross-LP-mutating feature gives one LP per switch, hosts on their
   // edge switch's LP.  Everything else (adaptive routing, degraded
   // fallback, threads <= 1) is the one-LP partition: LP 0 owns every
-  // switch and host, so the whole run is a single window on eng_.
+  // switch and host, so the whole run is a single window on engine().
+  // The sharded lookahead is the interior hop latency — link propagation
+  // plus the peer's forwarding latency, exactly what Fabric posts
+  // cross-LP hops with.
   net::TopologyPlan plan = net::build_topology(net_cfg.topology, n);
   const bool shard = opts_.engine_threads >= 2 && !opts_.adaptive_routing &&
                      !(is_inic(ic) && opts_.degraded_fallback);
-  if (shard) {
-    // Per-link latency: the delay a frame needs to become visible at the
-    // peer switch — link propagation plus the peer's forwarding latency,
-    // exactly what forward_at() posts cross-LP hops with.
-    const Time hop = net_cfg.link_latency + net_cfg.switch_latency;
-    partition_ =
-        net::build_lp_partition(plan, [hop](int, int) { return hop; });
-  } else {
-    partition_.lp_count = 1;
-    partition_.lp_of_switch.assign(plan.switches.size(), 0);
-    partition_.lp_of_host.assign(n, 0);
-  }
-  std::vector<sim::Engine*> shards{&eng_};
-  shard_engines_.reserve(partition_.lp_count - 1);
-  for (std::size_t i = 1; i < partition_.lp_count; ++i) {
-    shard_engines_.push_back(std::make_unique<sim::Engine>());
-    shards.push_back(shard_engines_.back().get());
-  }
+  partition_ = shard ? net::build_lp_partition(
+                           plan, net_cfg.link_latency + net_cfg.switch_latency)
+                     : net::one_lp_partition(plan);
   sim::ParallelConfig pcfg;
   pcfg.threads = opts_.engine_threads;
   pcfg.lookahead = partition_.lookahead;
-  parallel_ = std::make_unique<sim::ParallelEngine>(std::move(shards), pcfg);
+  parallel_ =
+      std::make_unique<sim::ParallelEngine>(partition_.lp_count, pcfg);
 
   // Pre-size each LP's event heap from the materialized topology: per-LP
   // slack, per-host protocol machinery (timers, coroutine resumes) and
@@ -169,7 +158,7 @@ SimCluster::SimCluster(std::size_t n, Interconnect ic,
     env_trace_digest_ = true;
     // A tiny ring suffices: the digest covers every emitted record
     // regardless of retention.
-    if (!eng_.tracer().enabled()) enable_tracing(/*ring_capacity=*/64);
+    if (!engine().tracer().enabled()) enable_tracing(/*ring_capacity=*/64);
   }
 
   network_ = std::make_unique<net::Fabric>(*parallel_, partition_,
@@ -247,10 +236,10 @@ SimCluster::SimCluster(std::size_t n, Interconnect ic,
             *nodes_[i], *fallback_nics_[i], tcp_cfg));
         fallback_pumps_.push_back(std::make_unique<sim::Process>(
             pump_fallback(*fallback_tcp_[i], *cards_[i])));
-        fallback_pumps_.back()->start(eng_);
+        fallback_pumps_.back()->start(engine());
       }
-      fallback_transfers_ = &eng_.counters().get(trace::Category::kApp, -1,
-                                                 "app/fallback_transfers");
+      fallback_transfers_ = &engine().counters().get(
+          trace::Category::kApp, -1, "app/fallback_transfers");
     }
   } else {
     for (std::size_t i = 0; i < n; ++i) {
@@ -286,7 +275,7 @@ std::vector<trace::CounterSample> SimCluster::counters_snapshot() {
   // 0's snapshot as it stands; merging in place rather than through an
   // ordered map keeps that path from holding a second copy of every
   // counter (~0.85 MB of peak RSS on a 1024-host ring).
-  std::vector<trace::CounterSample> out = eng_.counters().snapshot();
+  std::vector<trace::CounterSample> out = engine().counters().snapshot();
   for (std::size_t lp = 1; lp < parallel_->lp_count(); ++lp) {
     auto lane = parallel_->lp(lp).counters().snapshot();
     out.insert(out.end(), std::make_move_iterator(lane.begin()),
@@ -347,9 +336,10 @@ inic::CollectiveEngine& SimCluster::collective_engine(std::size_t i) {
 }
 
 void SimCluster::note_fallback(int src, Bytes size) {
-  fallback_transfers_->add(eng_.now(), 1);
-  eng_.tracer().instant(trace::Category::kApp, src, "app/fallback_transfer",
-                        eng_.now(), static_cast<std::int64_t>(size.count()));
+  sim::Engine& eng = engine();
+  fallback_transfers_->add(eng.now(), 1);
+  eng.tracer().instant(trace::Category::kApp, src, "app/fallback_transfer",
+                       eng.now(), static_cast<std::int64_t>(size.count()));
 }
 
 sim::Process SimCluster::transfer(int src, int dst, Bytes size,
@@ -395,7 +385,7 @@ SimCluster::~SimCluster() {
     const int index = next_trace_file_index();
     if (index > 1) path += "." + std::to_string(index);
     std::ofstream out(path);
-    if (out) eng_.tracer().write_chrome_json(out);
+    if (out) tracer().write_chrome_json(out);
   }
   if (env_trace_digest_) {
     // digest() is the combined multi-lane digest when sharded, the plain

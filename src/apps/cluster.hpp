@@ -115,7 +115,9 @@ class SimCluster {
   /// Flushes environment-requested trace output (see ctor notes).
   ~SimCluster();
 
-  sim::Engine& engine() { return eng_; }
+  /// LP 0's engine: the whole run on one LP, the first switch's LP when
+  /// sharded().
+  sim::Engine& engine() { return parallel_->lp(0); }
 
   /// The window scheduler driving the run (never null): LP 0 is
   /// engine(), and further LPs exist when the run is sharded() (see
@@ -173,7 +175,7 @@ class SimCluster {
   ///   ACC_TRACE_DIGEST=1  — record into a small ring and print
   ///                         "acc-trace-digest <hex>" to stderr at
   ///                         destruction (determinism checks).
-  trace::Tracer& tracer() { return eng_.tracer(); }
+  trace::Tracer& tracer() { return engine().tracer(); }
   std::size_t size() const { return nodes_.size(); }
   Interconnect interconnect() const { return ic_; }
 
@@ -214,19 +216,15 @@ class SimCluster {
  private:
   void note_fallback(int src, Bytes size);
 
-  sim::Engine eng_;
   Interconnect ic_;
   model::Calibration cal_;
   ClusterOptions opts_;
   bool env_trace_json_ = false;
   bool env_trace_digest_ = false;
-  // The LP partition (one LP unless sharded), the extra shard engines
-  // (LP 0 is eng_), and the window scheduler adopting all of them.
-  // Declared before network_/nodes_ (which bind to the shard engines) so
-  // those are destroyed first, and parallel_ after shard_engines_ so its
-  // worker pool stops while every shard it references is still alive.
+  // The LP partition (one LP unless sharded) and the window scheduler
+  // owning one engine per LP.  Declared before network_/nodes_ (which
+  // bind to the LP engines) so those are destroyed first.
   net::LpPartition partition_;
-  std::vector<std::unique_ptr<sim::Engine>> shard_engines_;
   std::unique_ptr<sim::ParallelEngine> parallel_;
   std::unique_ptr<net::Fabric> network_;
   std::vector<std::unique_ptr<hw::Node>> nodes_;

@@ -15,6 +15,12 @@ FaultInjector::FaultInjector(apps::SimCluster& cluster, FaultPlan plan)
       plan_(std::move(plan)),
       events_(cluster.engine().counters().get(trace::Category::kFault, -1,
                                               "fault/events")) {
+  if (cluster_.sharded() && !plan_.empty()) {
+    throw std::invalid_argument(
+        "FaultInjector: fault windows mutate port and card state owned by "
+        "other LPs, which an LP-sharded cluster cannot order; run fault "
+        "plans with ClusterOptions::engine_threads <= 1");
+  }
   if (!plan_.card_reset.empty() && !apps::is_inic(cluster_.interconnect())) {
     throw std::invalid_argument(
         "FaultInjector: card-reset windows require an INIC interconnect");

@@ -156,7 +156,9 @@ struct FaultPlan {
 
 /// Arms a FaultPlan against a cluster.  Construct it after the cluster and
 /// before the run; it must outlive the run (the scheduled events reference
-/// it).  Card-reset windows require an INIC interconnect.
+/// it).  Card-reset windows require an INIC interconnect.  A non-empty
+/// plan on a sharded() cluster throws std::invalid_argument: its windows
+/// fire on LP 0 but mutate state owned by other LPs.
 class FaultInjector {
  public:
   FaultInjector(apps::SimCluster& cluster, FaultPlan plan);

@@ -25,33 +25,24 @@ const char* intern_counter_name(std::string name) {
 
 }  // namespace
 
-Fabric::Fabric(sim::Engine& eng, std::size_t ports, const NetworkConfig& cfg)
-    : Fabric(eng, nullptr, nullptr, build_topology(cfg.topology, ports),
-             cfg) {}
-
 Fabric::Fabric(sim::ParallelEngine& pe, const LpPartition& part,
                TopologyPlan plan, const NetworkConfig& cfg)
-    : Fabric(pe.lp(0), &pe, &part, std::move(plan), cfg) {}
-
-Fabric::Fabric(sim::Engine& eng, sim::ParallelEngine* pe,
-               const LpPartition* part, TopologyPlan plan,
-               const NetworkConfig& cfg)
-    : eng_(eng), pe_(pe), part_(part), cfg_(cfg), plan_(std::move(plan)) {
+    : pe_(pe), part_(part), cfg_(cfg), plan_(std::move(plan)) {
   if (sharded() && cfg_.routing.adaptive) {
     throw std::invalid_argument(
         "Fabric: adaptive routing mutates next-port tables and link-health "
         "state shared by every switch; it is not supported on an LP-sharded "
         "fabric (run it unsharded instead)");
   }
-  if (part_ != nullptr && part_->lp_of_switch.size() != plan_.switches.size()) {
+  if (part_.lp_of_switch.size() != plan_.switches.size()) {
     throw std::invalid_argument(
         "Fabric: LP partition does not match the materialized topology");
   }
-  const std::size_t lanes = part_ == nullptr ? 1 : part_->lp_count;
+  const std::size_t lanes = part_.lp_count;
   lanes_.resize(lanes);
   lane_counters_.resize(lanes);
   for (std::size_t l = 0; l < lanes; ++l) {
-    sim::Engine& le = pe_ == nullptr ? eng_ : pe_->lp(l);
+    sim::Engine& le = pe_.lp(l);
     auto& c = lane_counters_[l];
     c.forwarded = &le.counters().get(trace::Category::kNet, -1,
                                      "net/frames_forwarded");
@@ -106,6 +97,7 @@ Fabric::Fabric(sim::Engine& eng, sim::ParallelEngine* pe,
     switches_.push_back(std::move(sw));
   }
   if (cfg_.routing.adaptive) {
+    sim::Engine& eng = pe_.lp(0);
     route_epochs_ = &eng.counters().get(trace::Category::kRouting, -1,
                                         "net/route_epoch");
     reroute_requests_ = &eng.counters().get(trace::Category::kRouting, -1,
@@ -114,11 +106,11 @@ Fabric::Fabric(sim::Engine& eng, sim::ParallelEngine* pe,
 }
 
 sim::Engine& Fabric::switch_engine(int sw) {
-  return pe_ == nullptr ? eng_ : pe_->lp(lane_of_switch(sw));
+  return pe_.lp(lane_of_switch(sw));
 }
 
 sim::Engine& Fabric::host_engine(int host) {
-  return pe_ == nullptr ? eng_ : pe_->lp(lane_of_host(host));
+  return pe_.lp(lane_of_host(host));
 }
 
 void Fabric::require_unsharded(const char* what) const {
@@ -240,8 +232,9 @@ void Fabric::set_interior_link_state(int sw_a, int sw_b, bool up) {
   auto& health = link_health_[{lo, hi}];
   const std::uint64_t epoch = ++health.probe_epoch;
   const int probes = up ? cfg_.routing.up_probes : cfg_.routing.down_probes;
-  eng_.schedule(cfg_.routing.probe_interval * static_cast<double>(probes),
-                [this, lo, hi, epoch, up] { probe_check(lo, hi, epoch, up); });
+  pe_.lp(0).schedule(
+      cfg_.routing.probe_interval * static_cast<double>(probes),
+      [this, lo, hi, epoch, up] { probe_check(lo, hi, epoch, up); });
 }
 
 bool Fabric::has_interior_link(int sw_a, int sw_b) const {
@@ -317,15 +310,6 @@ Time Fabric::path_latency(int src, int dst, Bytes wire) const {
   }
 }
 
-std::vector<Bytes> Fabric::per_port_peak_occupancy() const {
-  std::vector<Bytes> peaks;
-  peaks.reserve(plan_.hosts.size());
-  for (std::size_t h = 0; h < plan_.hosts.size(); ++h) {
-    peaks.push_back(host_port(static_cast<int>(h)).peak);
-  }
-  return peaks;
-}
-
 std::vector<Fabric::InteriorLinkStats> Fabric::interior_link_stats() const {
   std::vector<InteriorLinkStats> stats;
   for (const auto& sw : switches_) {
@@ -338,7 +322,6 @@ std::vector<Fabric::InteriorLinkStats> Fabric::interior_link_stats() const {
       s.frames = port.frames_out;
       s.bytes = port.bytes_out;
       s.peak_queue = port.peak;
-      s.drops = port.drops();
       s.drops_congestion = port.drops_congestion;
       s.drops_link = port.drops_link;
       stats.push_back(s);
@@ -478,9 +461,9 @@ void Fabric::forward_at(int sw, Frame frame) {
       note_interior_success(sw, next);
       const Time hop = cfg_.link_latency + cfg_.switch_latency;
       const std::size_t next_lane = lane_of_switch(next);
-      if (pe_ != nullptr && next_lane != lane) {
-        pe_->post(lane, next_lane, hop,
-                  [this, frame, next] { forward_at(next, frame); });
+      if (next_lane != lane) {
+        pe_.post(lane, next_lane, hop,
+                 [this, frame, next] { forward_at(next, frame); });
       } else {
         eng.schedule(hop, [this, frame, next] { forward_at(next, frame); });
       }
@@ -560,18 +543,20 @@ void Fabric::declare_link(int lo, int hi, bool up) {
   health.routed_up = up;
   health.consecutive_drops = 0;
   ++health.probe_epoch;  // a declaration also retires in-flight checks
-  eng_.tracer().instant(
+  sim::Engine& eng = pe_.lp(0);
+  eng.tracer().instant(
       trace::Category::kRouting, -1,
-      up ? "routing/link_up" : "routing/link_down", eng_.now(),
+      up ? "routing/link_up" : "routing/link_down", eng.now(),
       (static_cast<std::int64_t>(lo) << 32) | static_cast<std::int64_t>(hi));
   reconverge();
 }
 
 void Fabric::reconverge() {
   ++route_epoch_;
-  if (route_epochs_ != nullptr) route_epochs_->add(eng_.now(), 1);
-  eng_.tracer().instant(trace::Category::kRouting, -1, "routing/reconverge",
-                        eng_.now(), static_cast<std::int64_t>(route_epoch_));
+  sim::Engine& eng = pe_.lp(0);
+  if (route_epochs_ != nullptr) route_epochs_->add(eng.now(), 1);
+  eng.tracer().instant(trace::Category::kRouting, -1, "routing/reconverge",
+                       eng.now(), static_cast<std::int64_t>(route_epoch_));
 
   bool any_down = false;
   for (const auto& [link, health] : link_health_) {
@@ -675,9 +660,10 @@ std::vector<std::size_t> Fabric::ecmp_ports(int sw, int dst) const {
 
 bool Fabric::request_reroute(int src, int dst) {
   if (!cfg_.routing.adaptive) return false;
-  if (reroute_requests_ != nullptr) reroute_requests_->add(eng_.now(), 1);
-  eng_.tracer().instant(trace::Category::kRouting, src,
-                        "routing/reroute_request", eng_.now(), dst);
+  sim::Engine& eng = pe_.lp(0);
+  if (reroute_requests_ != nullptr) reroute_requests_->add(eng.now(), 1);
+  eng.tracer().instant(trace::Category::kRouting, src,
+                       "routing/reroute_request", eng.now(), dst);
   // A dead host port cannot be routed around — each host has a single
   // attachment — so fail fast and let the caller escalate terminally.
   if (!host_port(src).link_up || !host_port(dst).link_up) return false;

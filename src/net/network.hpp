@@ -119,11 +119,9 @@ class Switch {
     // and link failure (a physically dark link) are different signals:
     // only the latter may feed the adaptive-routing consecutive-drop
     // fast path — an incast burst overflowing a healthy port must never
-    // masquerade as a dead link.  drops() keeps the historical summed
-    // value for reports and interior_link_stats() compatibility.
+    // masquerade as a dead link.
     std::uint64_t drops_congestion = 0;  // drop-tail losses at this port
     std::uint64_t drops_link = 0;        // link-down/fault losses
-    std::uint64_t drops() const { return drops_congestion + drops_link; }
     trace::Counter* congestion = nullptr;  // interior links only
   };
 
@@ -168,8 +166,6 @@ class Switch {
 /// flat model.
 class Fabric {
  public:
-  Fabric(sim::Engine& eng, std::size_t ports, const NetworkConfig& cfg = {});
-
   /// Fabric over an LP partition of `plan` (docs/ENGINE.md ownership
   /// rules): every switch's mutable state — ports, buffers, egress
   /// serializers, per-lane counters — lives on its LP from `part` and is
@@ -178,11 +174,12 @@ class Fabric {
   /// at the link+switch latency (>= the partition's lookahead by
   /// construction).  Host-facing work (inject, delivery) runs on the
   /// host's edge-switch LP.  `plan` is the materialized `cfg.topology`
-  /// the partition was derived from.  Both `pe` and `part` must outlive
-  /// the fabric.  A one-LP partition behaves exactly like the
-  /// single-engine constructor.  Fault hooks and adaptive routing mutate
-  /// state across LPs and are rejected when `part` has several LPs
-  /// (std::logic_error / std::invalid_argument).
+  /// the partition was derived from (std::invalid_argument when `part`
+  /// does not cover its switches).  Both `pe` and `part` must outlive the
+  /// fabric.  With net::one_lp_partition(plan) every switch and host runs
+  /// on `pe.lp(0)`.  Fault hooks and adaptive routing mutate state across
+  /// LPs and are rejected when `part` has several LPs (std::logic_error /
+  /// std::invalid_argument).
   Fabric(sim::ParallelEngine& pe, const LpPartition& part, TopologyPlan plan,
          const NetworkConfig& cfg);
 
@@ -202,18 +199,10 @@ class Fabric {
   /// their own transmit at the same line rate).
   Bandwidth line_rate() const { return cfg_.line_rate; }
 
-  /// Single-hop constant from the flat model.  Kept for star-era
-  /// callers; protocol timers should use path_latency(), which knows the
-  /// real hop count, per-hop serialization, and degraded port rates.
-  Time one_way_latency() const {
-    return cfg_.link_latency + cfg_.switch_latency;
-  }
-
   // ------------------------------------------------------------------
   // Topology and routing queries.
   // ------------------------------------------------------------------
 
-  const TopologyConfig& topology() const { return cfg_.topology; }
   const TopologyPlan& plan() const { return plan_; }
   std::size_t switch_count() const { return switches_.size(); }
   int switch_level(int sw) const { return switches_.at(static_cast<std::size_t>(sw))->level(); }
@@ -236,8 +225,6 @@ class Fabric {
   // ------------------------------------------------------------------
   // Adaptive routing (RoutingConfig; inert while adaptive = false).
   // ------------------------------------------------------------------
-
-  bool adaptive_routing() const { return cfg_.routing.adaptive; }
 
   /// Times the routing plane re-converged (0 until a link-health change
   /// is declared).  Same seed + same fault plan → same epoch trajectory.
@@ -290,21 +277,17 @@ class Fabric {
   Bytes peak_buffer_occupancy(int node) const {
     return host_port(node).peak;
   }
-  /// Peak occupancy per host-facing port, indexed by node id.
-  std::vector<Bytes> per_port_peak_occupancy() const;
 
-  /// Per-directed-interior-link totals (empty on a star).  `drops` keeps
-  /// the historical summed tally; the congestion/link split attributes
-  /// each loss to its cause (drop-tail overflow vs. a dark link) so the
-  /// serving/incast analyses can tell an overloaded port from a failed
-  /// one.
+  /// Per-directed-interior-link totals (empty on a star).  Losses are
+  /// attributed to their cause (drop-tail overflow vs. a dark link) so
+  /// the serving/incast analyses can tell an overloaded port from a
+  /// failed one.
   struct InteriorLinkStats {
     int from_switch = -1;
     int to_switch = -1;
     std::uint64_t frames = 0;
     Bytes bytes = Bytes::zero();
     Bytes peak_queue = Bytes::zero();
-    std::uint64_t drops = 0;  // == drops_congestion + drops_link
     std::uint64_t drops_congestion = 0;
     std::uint64_t drops_link = 0;
   };
@@ -367,13 +350,12 @@ class Fabric {
   void set_port_buffer_factor(int node, double factor);
 
   /// True when the fabric's switches are spread over several LPs.
-  bool sharded() const { return part_ != nullptr && part_->lp_count > 1; }
+  bool sharded() const { return part_.lp_count > 1; }
 
  private:
   /// Per-LP fabric statistics: one lane of counters per LP, written only
-  /// by that LP's worker; the public accessors sum the lanes.  Serial
-  /// fabrics have exactly one lane on the main engine, so every add()
-  /// lands on the very counters (same engine, same names) it always did.
+  /// by that LP's worker; the public accessors sum the lanes.  A one-LP
+  /// fabric has exactly one lane on pe_.lp(0).
   struct LaneCounters {
     trace::Counter* forwarded = nullptr;
     trace::Counter* dropped = nullptr;
@@ -385,27 +367,20 @@ class Fabric {
   };
   /// Per-LP mutable scalars, cache-line isolated (distinct LPs write
   /// their own lane concurrently).  Frame ids are per-LP spaces: the id
-  /// is (lane << 40) | local, which for the single serial lane reduces to
-  /// the historical 1, 2, 3, ... sequence bit-for-bit.
+  /// is (lane << 40) | local, which for lane 0 reduces to the historical
+  /// 1, 2, 3, ... sequence bit-for-bit.
   struct alignas(64) LaneState {
     std::uint64_t next_frame_id = 1;
     Bytes peak_occupancy = Bytes::zero();
   };
 
-  Fabric(sim::Engine& eng, sim::ParallelEngine* pe, const LpPartition* part,
-         TopologyPlan plan, const NetworkConfig& cfg);
-
   std::size_t lane_of_switch(int sw) const {
-    return part_ == nullptr
-               ? 0
-               : part_->lp_of_switch[static_cast<std::size_t>(sw)];
+    return part_.lp_of_switch[static_cast<std::size_t>(sw)];
   }
   std::size_t lane_of_host(int host) const {
-    return part_ == nullptr
-               ? 0
-               : part_->lp_of_host[static_cast<std::size_t>(host)];
+    return part_.lp_of_host[static_cast<std::size_t>(host)];
   }
-  /// The engine owning switch `sw` (eng_ when serial).
+  /// The engine owning switch `sw`.
   sim::Engine& switch_engine(int sw);
   /// The engine owning host `h`'s device-side events (its edge switch's).
   sim::Engine& host_engine(int host);
@@ -453,9 +428,8 @@ class Fabric {
                           static_cast<std::size_t>(dst)];
   }
 
-  sim::Engine& eng_;
-  sim::ParallelEngine* pe_ = nullptr;   // non-null in sharded mode
-  const LpPartition* part_ = nullptr;   // non-null in sharded mode
+  sim::ParallelEngine& pe_;
+  const LpPartition& part_;
   NetworkConfig cfg_;
   TopologyPlan plan_;
   std::vector<std::unique_ptr<Switch>> switches_;
@@ -472,8 +446,8 @@ class Fabric {
   std::unique_ptr<fault::GilbertElliott> burst_loss_;
   double corruption_probability_ = 0.0;
   std::unique_ptr<Rng> corruption_rng_;
-  std::vector<LaneCounters> lane_counters_;  // one per LP (1 when serial)
-  std::vector<LaneState> lanes_;             // one per LP (1 when serial)
+  std::vector<LaneCounters> lane_counters_;  // one per LP
+  std::vector<LaneState> lanes_;             // one per LP
 };
 
 }  // namespace acc::net

@@ -9,9 +9,10 @@
 // a worker pool under the classic Chandy–Misra conservative discipline:
 //
 //   * Lookahead.  Cross-LP interactions carry a minimum latency L (in the
-//     fabric: the smallest inter-LP link latency, derived from the
-//     topology by net::LpPartition).  An event executing at time t on one
-//     LP can therefore only affect another LP at or after t + L.
+//     fabric: the interior hop latency, the lookahead of the
+//     net::LpPartition built from the topology).  An event executing at
+//     time t on one LP can therefore only affect another LP at or after
+//     t + L.
 //
 //   * Windows.  Each round, the scheduler finds the globally earliest
 //     pending event time t_min and lets every LP execute its local events
@@ -64,17 +65,12 @@ struct ParallelConfig {
   Time lookahead = Time::zero();
 };
 
-/// Multi-LP simulation driver.  Owns (or adopts) one Engine per LP and
-/// runs them to global completion in conservative time windows.
+/// Multi-LP simulation driver.  Owns one Engine per LP and runs them to
+/// global completion in conservative time windows.
 class ParallelEngine {
  public:
   /// Constructs `lps` fresh shard engines, owned by this object.
   ParallelEngine(std::size_t lps, const ParallelConfig& cfg);
-
-  /// Adopts existing shard engines (not owned; must outlive this object).
-  /// SimCluster adopts its own engine as LP 0 and one fresh engine per
-  /// further switch LP.
-  ParallelEngine(std::vector<Engine*> shards, const ParallelConfig& cfg);
 
   ~ParallelEngine();
 
@@ -146,7 +142,6 @@ class ParallelEngine {
     std::vector<Posted> entries;
   };
 
-  void init(const ParallelConfig& cfg);
   Mailbox& box(std::size_t src, std::size_t dst) {
     return boxes_[src * shards_.size() + dst];
   }
@@ -164,8 +159,7 @@ class ParallelEngine {
   /// threads_ == 1) and waits for completion.
   void execute_window(Time end);
 
-  std::vector<std::unique_ptr<Engine>> owned_;
-  std::vector<Engine*> shards_;
+  std::vector<std::unique_ptr<Engine>> shards_;
   std::vector<Mailbox> boxes_;
   std::vector<ShardStats> stats_;
   std::vector<std::exception_ptr> window_failures_;

@@ -16,6 +16,7 @@
 #include "inic/card.hpp"
 #include "net/network.hpp"
 #include "net/nic.hpp"
+#include "one_lp_fabric.hpp"
 #include "sim/channel.hpp"
 #include "sim/process.hpp"
 
@@ -93,8 +94,9 @@ net::Frame make_frame(int src, int dst, Bytes payload) {
 }
 
 TEST(NetworkFaults, LinkDownWindowDropsExactlyFramesInsideIt) {
-  sim::Engine eng;
-  net::Fabric net(eng, 2);
+  test::OneLpFabric rig(2);
+  sim::Engine& eng = rig.eng;
+  net::Fabric& net = rig.net;
   RecordingEndpoint a(eng), b(eng);
   net.attach(0, a);
   net.attach(1, b);
@@ -122,8 +124,9 @@ TEST(NetworkFaults, LinkDownWindowDropsExactlyFramesInsideIt) {
 }
 
 TEST(NetworkFaults, BurstLossDropsAndCountsSeparately) {
-  sim::Engine eng;
-  net::Fabric net(eng, 2);
+  test::OneLpFabric rig(2);
+  sim::Engine& eng = rig.eng;
+  net::Fabric& net = rig.net;
   RecordingEndpoint a(eng), b(eng);
   net.attach(0, a);
   net.attach(1, b);
@@ -151,8 +154,9 @@ TEST(NetworkFaults, BurstLossDropsAndCountsSeparately) {
 }
 
 TEST(NetworkFaults, CorruptedFramesAreDeliveredWithTheFlagSet) {
-  sim::Engine eng;
-  net::Fabric net(eng, 2);
+  test::OneLpFabric rig(2);
+  sim::Engine& eng = rig.eng;
+  net::Fabric& net = rig.net;
   RecordingEndpoint a(eng), b(eng);
   net.attach(0, a);
   net.attach(1, b);
@@ -170,8 +174,9 @@ TEST(NetworkFaults, CorruptedFramesAreDeliveredWithTheFlagSet) {
 }
 
 TEST(NetworkFaults, StandardNicDropsCorruptedFramesAtTheMac) {
-  sim::Engine eng;
-  net::Fabric net(eng, 2);
+  test::OneLpFabric rig(2);
+  sim::Engine& eng = rig.eng;
+  net::Fabric& net = rig.net;
   hw::Node na(eng, 0), nb(eng, 1);
   net::StandardNic nic_a(na, net), nic_b(nb, net);
   int upcalls = 0;
@@ -189,8 +194,9 @@ TEST(NetworkFaults, StandardNicDropsCorruptedFramesAtTheMac) {
 
 TEST(NetworkFaults, PortRateDegradeStretchesDelivery) {
   auto delivery_time = [](double factor) {
-    sim::Engine eng;
-    net::Fabric net(eng, 2);
+    test::OneLpFabric rig(2);
+    sim::Engine& eng = rig.eng;
+    net::Fabric& net = rig.net;
     RecordingEndpoint a(eng), b(eng);
     net.attach(0, a);
     net.attach(1, b);
@@ -206,10 +212,11 @@ TEST(NetworkFaults, PortRateDegradeStretchesDelivery) {
 }
 
 TEST(NetworkFaults, BufferShrinkCausesDropTailLoss) {
-  sim::Engine eng;
   net::NetworkConfig cfg;
   cfg.port_buffer = Bytes::kib(64);
-  net::Fabric net(eng, 3, cfg);
+  test::OneLpFabric rig(3, cfg);
+  sim::Engine& eng = rig.eng;
+  net::Fabric& net = rig.net;
   RecordingEndpoint sink(eng), s1(eng), s2(eng);
   net.attach(0, sink);
   net.attach(1, s1);
@@ -237,15 +244,16 @@ TEST(NetworkFaults, BufferShrinkCausesDropTailLoss) {
 // ---------------------------------------------------------------------
 
 struct InicPairRig {
-  explicit InicPairRig(inic::InicConfig cfg = inic::InicConfig::ideal()) {
-    network = std::make_unique<net::Fabric>(eng, 2);
+  explicit InicPairRig(inic::InicConfig cfg = inic::InicConfig::ideal())
+      : substrate(2) {
     node_a = std::make_unique<hw::Node>(eng, 0);
     node_b = std::make_unique<hw::Node>(eng, 1);
-    card_a = std::make_unique<inic::InicCard>(*node_a, *network, cfg);
-    card_b = std::make_unique<inic::InicCard>(*node_b, *network, cfg);
+    card_a = std::make_unique<inic::InicCard>(*node_a, network, cfg);
+    card_b = std::make_unique<inic::InicCard>(*node_b, network, cfg);
   }
-  sim::Engine eng;
-  std::unique_ptr<net::Fabric> network;
+  test::OneLpFabric substrate;
+  sim::Engine& eng = substrate.eng;
+  net::Fabric& network = substrate.net;
   std::unique_ptr<hw::Node> node_a, node_b;
   std::unique_ptr<inic::InicCard> card_a, card_b;
 };
@@ -284,7 +292,7 @@ TEST(InicFaults, RetryBudgetSurfacesPeerUnreachable) {
   cfg.retransmit_timeout = Time::millis(1);
   cfg.max_retries = 3;
   InicPairRig rig(cfg);
-  rig.network->set_link_state(1, false);  // peer is gone for good
+  rig.network.set_link_state(1, false);  // peer is gone for good
 
   sim::ProcessGroup group(rig.eng);
   group.spawn([](inic::InicCard& c) -> sim::Process {
@@ -319,7 +327,7 @@ TEST(InicFaults, RetransmitBackoffSlowsRetryRounds) {
     cfg.retransmit_timeout_cap = Time::millis(64);
     cfg.max_retries = 5;
     InicPairRig rig(cfg);
-    rig.network->set_link_state(1, false);
+    rig.network.set_link_state(1, false);
     sim::ProcessGroup group(rig.eng);
     // 4 bursts against 2 credits: the sender blocks on flow control, so
     // the budget-exhaustion verdict has someone to wake and fail.
@@ -393,8 +401,9 @@ TEST(InicTriggers, EarlyMessageIsStashedUntilArmed) {
 TEST(InicTriggers, DuplicateSourceCombinesExactlyOnce) {
   // Three cards: the target expects one message from each of two
   // sources; one source double-sends (modeling a fallback re-carry).
-  sim::Engine eng;
-  net::Fabric network(eng, 3);
+  test::OneLpFabric rig(3);
+  sim::Engine& eng = rig.eng;
+  net::Fabric& network = rig.net;
   hw::Node node_a(eng, 0), node_b(eng, 1), node_c(eng, 2);
   inic::InicCard card_a(node_a, network, inic::InicConfig::ideal());
   inic::InicCard card_b(node_b, network, inic::InicConfig::ideal());

@@ -11,23 +11,25 @@
 #include "hw/node.hpp"
 #include "net/network.hpp"
 #include "sim/process.hpp"
+#include "one_lp_fabric.hpp"
 
 namespace acc::inic {
 namespace {
 
 struct InicCluster {
   explicit InicCluster(std::size_t n, InicConfig cfg = InicConfig::ideal(),
-                       net::NetworkConfig net_cfg = {}) {
-    network = std::make_unique<net::Fabric>(eng, n, net_cfg);
+                       net::NetworkConfig net_cfg = {})
+      : substrate(n, net_cfg) {
     cfg = cfg.tuned_for(n, net_cfg.port_buffer);
     for (std::size_t i = 0; i < n; ++i) {
       nodes.push_back(std::make_unique<hw::Node>(eng, static_cast<int>(i)));
-      cards.push_back(std::make_unique<InicCard>(*nodes[i], *network, cfg));
+      cards.push_back(std::make_unique<InicCard>(*nodes[i], network, cfg));
     }
   }
 
-  sim::Engine eng;
-  std::unique_ptr<net::Fabric> network;
+  test::OneLpFabric substrate;
+  sim::Engine& eng = substrate.eng;
+  net::Fabric& network = substrate.net;
   std::vector<std::unique_ptr<hw::Node>> nodes;
   std::vector<std::unique_ptr<InicCard>> cards;
 };
@@ -59,7 +61,7 @@ TEST(Inic, DeliversStreamWithPayload) {
   EXPECT_EQ(received[0].size, Bytes::kib(128));
   EXPECT_EQ(std::any_cast<std::vector<int>>(received[0].payload),
             (std::vector<int>{7, 8, 9}));
-  EXPECT_EQ(cluster.network->frames_dropped(), 0u);
+  EXPECT_EQ(cluster.network.frames_dropped(), 0u);
 }
 
 TEST(Inic, StreamRateApproachesHostDmaLimit) {
@@ -143,13 +145,13 @@ TEST(Inic, CreditsPreventLossInAllToAll) {
   }
   group.join();
 
-  EXPECT_EQ(cluster.network->frames_dropped(), 0u);
+  EXPECT_EQ(cluster.network.frames_dropped(), 0u);
   for (int n = 0; n < kNodes; ++n) {
     EXPECT_EQ(received[n].size(), static_cast<std::size_t>(kNodes - 1));
   }
   // The no-loss property came from the credit window staying inside the
   // port buffer.
-  EXPECT_LE(cluster.network->peak_buffer_occupancy().count(),
+  EXPECT_LE(cluster.network.peak_buffer_occupancy().count(),
             net::NetworkConfig{}.port_buffer.count());
   EXPECT_GT(cluster.cards[0]->credits_received(), 0u);
 }

@@ -10,20 +10,21 @@
 #include "inic/card.hpp"
 #include "net/network.hpp"
 #include "sim/process.hpp"
+#include "one_lp_fabric.hpp"
 
 namespace acc::inic {
 namespace {
 
 struct Rig {
-  explicit Rig(InicConfig cfg) {
-    network = std::make_unique<net::Fabric>(eng, 2);
+  explicit Rig(InicConfig cfg) : substrate(2) {
     node_a = std::make_unique<hw::Node>(eng, 0);
     node_b = std::make_unique<hw::Node>(eng, 1);
-    card_a = std::make_unique<InicCard>(*node_a, *network, cfg);
-    card_b = std::make_unique<InicCard>(*node_b, *network, cfg);
+    card_a = std::make_unique<InicCard>(*node_a, network, cfg);
+    card_b = std::make_unique<InicCard>(*node_b, network, cfg);
   }
-  sim::Engine eng;
-  std::unique_ptr<net::Fabric> network;
+  test::OneLpFabric substrate;
+  sim::Engine& eng = substrate.eng;
+  net::Fabric& network = substrate.net;
   std::unique_ptr<hw::Node> node_a, node_b;
   std::unique_ptr<InicCard> card_a, card_b;
 };

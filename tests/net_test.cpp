@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "hw/node.hpp"
+#include "one_lp_fabric.hpp"
 #include "sim/process.hpp"
 
 namespace acc::net {
@@ -41,12 +42,13 @@ Frame make_frame(int src, int dst, Bytes payload, std::size_t packets = 1) {
 }
 
 TEST(Network, DeliversFrameWithLatencyAndSerialization) {
-  sim::Engine eng;
   NetworkConfig cfg;
   cfg.line_rate = Bandwidth::gbit_per_sec(1.0);
   cfg.link_latency = Time::micros(1);
   cfg.switch_latency = Time::micros(4);
-  Fabric net(eng, 2, cfg);
+  test::OneLpFabric rig(2, cfg);
+  sim::Engine& eng = rig.eng;
+  Fabric& net = rig.net;
   RecordingEndpoint a(eng), b(eng);
   net.attach(0, a);
   net.attach(1, b);
@@ -64,8 +66,9 @@ TEST(Network, DeliversFrameWithLatencyAndSerialization) {
 }
 
 TEST(Network, EgressPortSerializesCompetingSenders) {
-  sim::Engine eng;
-  Fabric net(eng, 3, {});
+  test::OneLpFabric rig(3);
+  sim::Engine& eng = rig.eng;
+  Fabric& net = rig.net;
   RecordingEndpoint sink(eng), other(eng), third(eng);
   net.attach(0, sink);
   net.attach(1, other);
@@ -85,10 +88,11 @@ TEST(Network, EgressPortSerializesCompetingSenders) {
 }
 
 TEST(Network, DropsWhenOutputBufferOverflows) {
-  sim::Engine eng;
   NetworkConfig cfg;
   cfg.port_buffer = Bytes::kib(64);
-  Fabric net(eng, 3, cfg);
+  test::OneLpFabric rig(3, cfg);
+  sim::Engine& eng = rig.eng;
+  Fabric& net = rig.net;
   RecordingEndpoint sink(eng), other(eng), third(eng);
   net.attach(0, sink);
   net.attach(1, other);
@@ -107,11 +111,12 @@ TEST(Network, DropsWhenOutputBufferOverflows) {
 }
 
 TEST(Network, ThroughputMatchesLineRate) {
-  sim::Engine eng;
   NetworkConfig cfg;
   cfg.line_rate = Bandwidth::mbit_per_sec(100.0);  // Fast Ethernet
   cfg.port_buffer = Bytes::mib(4);  // hold the whole train; we measure rate
-  Fabric net(eng, 2, cfg);
+  test::OneLpFabric rig(2, cfg);
+  sim::Engine& eng = rig.eng;
+  Fabric& net = rig.net;
   RecordingEndpoint a(eng), b(eng);
   net.attach(0, a);
   net.attach(1, b);
@@ -128,23 +133,25 @@ TEST(Network, ThroughputMatchesLineRate) {
 }
 
 TEST(Network, RejectsUnattachedDestination) {
-  sim::Engine eng;
-  Fabric net(eng, 2, {});
+  test::OneLpFabric rig(2);
+  sim::Engine& eng = rig.eng;
+  Fabric& net = rig.net;
   RecordingEndpoint a(eng);
   net.attach(0, a);
   EXPECT_THROW(net.inject(make_frame(0, 1, Bytes(100))), std::logic_error);
 }
 
 struct NicRig {
-  NicRig(NicConfig nic_cfg = {}, NetworkConfig net_cfg = {}) {
-    network = std::make_unique<Fabric>(eng, 2, net_cfg);
+  NicRig(NicConfig nic_cfg = {}, NetworkConfig net_cfg = {})
+      : substrate(2, net_cfg) {
     node_a = std::make_unique<hw::Node>(eng, 0);
     node_b = std::make_unique<hw::Node>(eng, 1);
-    nic_a = std::make_unique<StandardNic>(*node_a, *network, nic_cfg);
-    nic_b = std::make_unique<StandardNic>(*node_b, *network, nic_cfg);
+    nic_a = std::make_unique<StandardNic>(*node_a, network, nic_cfg);
+    nic_b = std::make_unique<StandardNic>(*node_b, network, nic_cfg);
   }
-  sim::Engine eng;
-  std::unique_ptr<Fabric> network;
+  test::OneLpFabric substrate;
+  sim::Engine& eng = substrate.eng;
+  Fabric& network = substrate.net;
   std::unique_ptr<hw::Node> node_a, node_b;
   std::unique_ptr<StandardNic> nic_a, nic_b;
 };

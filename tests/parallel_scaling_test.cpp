@@ -12,6 +12,8 @@
 
 #include <cstdint>
 #include <optional>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "apps/cluster.hpp"
@@ -302,6 +304,40 @@ TEST(ParallelScaling, UnshardableClustersRunAsOneLpAtAnyThreadCount) {
     if (&c == &cases[2]) {
       EXPECT_GT(ref.fallback_transfers, 0u);  // the reset forced TCP
     }
+  }
+}
+
+TEST(ParallelScaling, FaultPlansAreRejectedOnShardedClusters) {
+  // Fault windows fire on LP 0 but mutate ports and cards owned by other
+  // LPs, so a sharded cluster refuses them up front instead of throwing
+  // mid-window (link_down) or writing across LPs (card_reset).
+  constexpr std::size_t kHosts = 8;
+  fault::FaultPlan link_down;
+  link_down.with_link_down(7, Time::micros(5), Time::micros(20));
+  fault::FaultPlan card_reset;
+  card_reset.with_card_reset(7, Time::micros(5), Time::micros(20));
+  for (std::size_t threads : {std::size_t{2}, std::size_t{4}}) {
+    apps::ClusterOptions copts;
+    copts.topology = net::TopologyConfig::fat_tree(2);
+    copts.engine_threads = threads;
+    copts.inic_hw_retransmit = true;
+    apps::SimCluster cluster(kHosts, apps::Interconnect::kInicIdeal,
+                             model::default_calibration(), copts);
+    ASSERT_TRUE(cluster.sharded()) << "t=" << threads;
+    ASSERT_NE(cluster.node_lp(7), 0u) << "t=" << threads;
+    for (const fault::FaultPlan* plan : {&link_down, &card_reset}) {
+      try {
+        fault::FaultInjector injector(cluster, *plan);
+        ADD_FAILURE() << "sharded cluster accepted a fault plan, t="
+                      << threads;
+      } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find("engine_threads"),
+                  std::string::npos)
+            << e.what();
+      }
+    }
+    // An empty plan arms nothing and stays legal.
+    EXPECT_NO_THROW(fault::FaultInjector(cluster, fault::FaultPlan{}));
   }
 }
 

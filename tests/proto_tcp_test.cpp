@@ -13,6 +13,7 @@
 #include "net/network.hpp"
 #include "net/nic.hpp"
 #include "sim/process.hpp"
+#include "one_lp_fabric.hpp"
 
 namespace acc::proto {
 namespace {
@@ -20,19 +21,20 @@ namespace {
 /// A small simulated cluster with TCP on every node.
 struct TcpCluster {
   explicit TcpCluster(std::size_t n, net::NetworkConfig net_cfg = {},
-                      net::NicConfig nic_cfg = {}, TcpConfig tcp_cfg = {}) {
-    network = std::make_unique<net::Fabric>(eng, n, net_cfg);
+                      net::NicConfig nic_cfg = {}, TcpConfig tcp_cfg = {})
+      : substrate(n, net_cfg) {
     for (std::size_t i = 0; i < n; ++i) {
       nodes.push_back(std::make_unique<hw::Node>(eng, static_cast<int>(i)));
       nics.push_back(
-          std::make_unique<net::StandardNic>(*nodes[i], *network, nic_cfg));
+          std::make_unique<net::StandardNic>(*nodes[i], network, nic_cfg));
       stacks.push_back(
           std::make_unique<TcpStack>(*nodes[i], *nics[i], tcp_cfg));
     }
   }
 
-  sim::Engine eng;
-  std::unique_ptr<net::Fabric> network;
+  test::OneLpFabric substrate;
+  sim::Engine& eng = substrate.eng;
+  net::Fabric& network = substrate.net;
   std::vector<std::unique_ptr<hw::Node>> nodes;
   std::vector<std::unique_ptr<net::StandardNic>> nics;
   std::vector<std::unique_ptr<TcpStack>> stacks;
@@ -155,7 +157,7 @@ TEST(Tcp, RecoversFromSwitchBufferOverflow) {
   ASSERT_EQ(received.size(), 1u);
   EXPECT_EQ(received[0].size, Bytes::kib(256));
   // 256 KiB bursts against a 4 KiB buffer must drop at least once.
-  EXPECT_GT(cluster.network->frames_dropped(), 0u);
+  EXPECT_GT(cluster.network.frames_dropped(), 0u);
   EXPECT_GT(cluster.stacks[0]->retransmits(), 0u);
 }
 

@@ -14,13 +14,15 @@
 #include "net/network.hpp"
 #include "proto/tcp.hpp"
 #include "sim/process.hpp"
+#include "one_lp_fabric.hpp"
 
 namespace acc {
 namespace {
 
 TEST(Reliability, TcpDeliversUnderRandomLoss) {
-  sim::Engine eng;
-  net::Fabric network(eng, 2);
+  test::OneLpFabric rig(2);
+  sim::Engine& eng = rig.eng;
+  net::Fabric& network = rig.net;
   network.set_random_loss(0.15, 42);
 
   hw::Node a(eng, 0), b(eng, 1);
@@ -55,8 +57,9 @@ TEST(Reliability, TcpConvergesUnderSustained30PercentLoss) {
   // progress hinges on the exponential RTO backoff — a fixed RTO would
   // retransmit into the loss at a constant rate and converge far slower
   // (before the backoff fix this scenario effectively never finished).
-  sim::Engine eng;
-  net::Fabric network(eng, 2);
+  test::OneLpFabric rig(2);
+  sim::Engine& eng = rig.eng;
+  net::Fabric& network = rig.net;
   network.set_random_loss(0.30, 99);
 
   hw::Node a(eng, 0), b(eng, 1);
@@ -90,8 +93,9 @@ TEST(Reliability, TcpDeliversUnderBurstyLoss) {
   // Correlated (Gilbert–Elliott) loss: long good stretches, short bad
   // dwells that kill several consecutive frames — the pattern that
   // punishes fixed-interval retransmission hardest.
-  sim::Engine eng;
-  net::Fabric network(eng, 2);
+  test::OneLpFabric rig(2);
+  sim::Engine& eng = rig.eng;
+  net::Fabric& network = rig.net;
   fault::GilbertElliottParams ge;
   ge.p_good_to_bad = 0.02;
   ge.p_bad_to_good = 0.25;
@@ -124,19 +128,19 @@ TEST(Reliability, TcpDeliversUnderBurstyLoss) {
 }
 
 struct LossyInicRig {
-  LossyInicRig(double loss, bool hw_retransmit) {
-    network = std::make_unique<net::Fabric>(eng, 2);
-    network->set_random_loss(loss, 7);
+  LossyInicRig(double loss, bool hw_retransmit) : substrate(2) {
+    network.set_random_loss(loss, 7);
     inic::InicConfig cfg = inic::InicConfig::ideal();
     cfg.hw_retransmit = hw_retransmit;
     cfg.retransmit_timeout = Time::millis(1);
     node_a = std::make_unique<hw::Node>(eng, 0);
     node_b = std::make_unique<hw::Node>(eng, 1);
-    card_a = std::make_unique<inic::InicCard>(*node_a, *network, cfg);
-    card_b = std::make_unique<inic::InicCard>(*node_b, *network, cfg);
+    card_a = std::make_unique<inic::InicCard>(*node_a, network, cfg);
+    card_b = std::make_unique<inic::InicCard>(*node_b, network, cfg);
   }
-  sim::Engine eng;
-  std::unique_ptr<net::Fabric> network;
+  test::OneLpFabric substrate;
+  sim::Engine& eng = substrate.eng;
+  net::Fabric& network = substrate.net;
   std::unique_ptr<hw::Node> node_a, node_b;
   std::unique_ptr<inic::InicCard> card_a, card_b;
 };
@@ -158,7 +162,7 @@ TEST(Reliability, InicHwRetransmitRecoversFromLoss) {
 
   ASSERT_EQ(received.size(), 5u);
   for (std::uint64_t m = 0; m < 5; ++m) EXPECT_EQ(received[m].tag, m);
-  EXPECT_GT(rig.network->frames_dropped(), 0u);
+  EXPECT_GT(rig.network.frames_dropped(), 0u);
   EXPECT_GT(rig.card_a->retransmits(), 0u);
   // Error handling stayed in hardware: the host never saw an interrupt.
   EXPECT_EQ(rig.node_a->cpu().interrupts_serviced(), 0u);
@@ -205,7 +209,7 @@ TEST(Reliability, InicHwRetransmitRecoversFromBurstyLoss) {
   ge.p_good_to_bad = 0.03;
   ge.p_bad_to_good = 0.25;
   ge.loss_bad = 0.8;
-  rig.network->set_burst_loss(ge, 23);
+  rig.network.set_burst_loss(ge, 23);
 
   std::vector<proto::Message> received;
   sim::ProcessGroup group(rig.eng);
@@ -222,7 +226,7 @@ TEST(Reliability, InicHwRetransmitRecoversFromBurstyLoss) {
 
   ASSERT_EQ(received.size(), 5u);
   for (std::uint64_t m = 0; m < 5; ++m) EXPECT_EQ(received[m].tag, m);
-  EXPECT_GT(rig.network->frames_dropped_burst(), 0u);
+  EXPECT_GT(rig.network.frames_dropped_burst(), 0u);
   EXPECT_GT(rig.card_a->retransmits(), 0u);
   // A burst can take out a data frame and its neighbours together; the
   // go-back-N machinery still keeps the host out of the recovery.

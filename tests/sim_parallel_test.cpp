@@ -232,16 +232,16 @@ TEST(ParallelEngine, RingDigestIndependentOfWorkerCount) {
   }
 }
 
-TEST(ParallelEngine, SingleAdoptedShardPreservesEngineDigest) {
-  // One pre-existing engine adopted as LP 0 must produce the exact
-  // serial dispatch order and expose the engine's own tracer digest as
-  // the combined digest.
+TEST(ParallelEngine, SingleLpPreservesEngineDigest) {
+  // A one-LP ParallelEngine must produce the exact serial dispatch order
+  // of a standalone engine and expose LP 0's own tracer digest as the
+  // combined digest.
   auto build = [](Engine& eng, std::vector<int>& ran) {
     eng.tracer().enable(/*ring_capacity=*/16);
     for (int k = 0; k < 32; ++k) {
       eng.schedule_at(Time::nanos(k % 5), [&eng, &ran, k] {
         ran.push_back(k);
-        eng.tracer().instant(trace::Category::kApp, k % 3, "adopted/ev",
+        eng.tracer().instant(trace::Category::kApp, k % 3, "single/ev",
                              eng.now(), k);
         if (k % 4 == 0) {
           eng.schedule(Time::nanos(2), [&ran, k] { ran.push_back(1000 + k); });
@@ -254,14 +254,13 @@ TEST(ParallelEngine, SingleAdoptedShardPreservesEngineDigest) {
   build(serial, serial_ran);
   serial.run();
 
-  Engine adopted;
-  std::vector<int> adopted_ran;
-  build(adopted, adopted_ran);
-  ParallelEngine peng({&adopted}, config(4, Time::zero()));
+  ParallelEngine peng(1, config(4, Time::zero()));
+  std::vector<int> lp_ran;
+  build(peng.lp(0), lp_ran);
   peng.run();
 
-  EXPECT_EQ(adopted_ran, serial_ran);
-  EXPECT_EQ(adopted.events_executed(), serial.events_executed());
+  EXPECT_EQ(lp_ran, serial_ran);
+  EXPECT_EQ(peng.lp(0).events_executed(), serial.events_executed());
   EXPECT_EQ(peng.combined_digest(), serial.tracer().digest());
   EXPECT_EQ(peng.windows(), 1u);  // one full-horizon window
 }

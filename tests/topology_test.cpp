@@ -22,6 +22,7 @@
 #include "net/network.hpp"
 #include "sim/engine.hpp"
 #include "sim/resource.hpp"
+#include "one_lp_fabric.hpp"
 
 namespace acc {
 namespace {
@@ -52,15 +53,14 @@ net::Frame make_frame(int src, int dst, Bytes payload,
 }
 
 /// A fabric of `n` hosts, every host attached to a recording endpoint.
-struct FabricRig {
-  FabricRig(std::size_t n, net::NetworkConfig cfg) : net(eng, n, cfg) {
+struct FabricRig : test::OneLpFabric {
+  FabricRig(std::size_t n, const net::NetworkConfig& cfg)
+      : OneLpFabric(n, cfg) {
     for (std::size_t i = 0; i < n; ++i) {
       sinks.push_back(std::make_unique<RecordingEndpoint>(eng));
       net.attach(static_cast<int>(i), *sinks.back());
     }
   }
-  sim::Engine eng;
-  net::Fabric net;
   std::vector<std::unique_ptr<RecordingEndpoint>> sinks;
 };
 
@@ -71,8 +71,8 @@ struct FabricRig {
 TEST(Topology, TorusRoutesAreMinimalAndDimensionOrdered) {
   net::NetworkConfig cfg;
   cfg.topology = net::TopologyConfig::torus(2, 4, 4);
-  sim::Engine eng;
-  net::Fabric net(eng, 16, cfg);
+  test::OneLpFabric rig(16, cfg);
+  const net::Fabric& net = rig.net;
   ASSERT_EQ(net.switch_count(), 16u);
 
   const auto wrap_dist = [](int a, int b, int extent) {
@@ -109,8 +109,8 @@ TEST(Topology, FatTreeUpDownRoutesNeverReascend) {
   for (int levels : {2, 3}) {
     net::NetworkConfig cfg;
     cfg.topology = net::TopologyConfig::fat_tree(levels);
-    sim::Engine eng;
-    net::Fabric net(eng, 16, cfg);  // 4x4+4 Clos, or k=4 fat tree
+    test::OneLpFabric rig(16, cfg);  // 4x4+4 Clos, or k=4 fat tree
+    const net::Fabric& net = rig.net;
     for (int src = 0; src < 16; ++src) {
       for (int dst = 0; dst < 16; ++dst) {
         if (src == dst) continue;
@@ -226,9 +226,9 @@ TEST(Topology, PerPortPeaksTrackTheGlobalMaximum) {
   rig.net.inject(make_frame(0, 2, Bytes::kib(8), 6));
   rig.eng.run();
 
-  const auto peaks = rig.net.per_port_peak_occupancy();
-  ASSERT_EQ(peaks.size(), 3u);
-  EXPECT_EQ(peaks[0], rig.net.peak_buffer_occupancy(0));
+  const std::vector<Bytes> peaks = {rig.net.peak_buffer_occupancy(0),
+                                    rig.net.peak_buffer_occupancy(1),
+                                    rig.net.peak_buffer_occupancy(2)};
   EXPECT_GT(peaks[0], peaks[2]);       // two queued bursts vs one
   EXPECT_EQ(peaks[1], Bytes::zero());  // nothing sent toward node 1
   Bytes max = Bytes::zero();
@@ -418,41 +418,24 @@ TEST(Fault, RejectsBadRateFactorsAndNonAdjacentInteriorLinks) {
 
 
 // ---------------------------------------------------------------------
-// LP partition: per-link latencies and lookahead derivation
+// LP partition: placement, cross-LP links and lookahead derivation
 // ---------------------------------------------------------------------
 
-TEST(LpPartition, LookaheadIsTrueMinimumOverMixedLinkLatencies) {
-  const net::TopologyPlan plan =
-      net::build_topology(net::TopologyConfig::fat_tree(2), 16);
-  // Hand every directed interior link its own latency; the partition
-  // must stamp each link with exactly what the callback reported and
-  // derive the lookahead as the true minimum over them — a scalar on
-  // this fabric would overstate it for every link but the slowest.
-  auto latency_of = [](int src_sw, int dst_sw) {
-    return Time::nanos(500 + 7 * src_sw + 13 * dst_sw);
-  };
-  const net::LpPartition part = net::build_lp_partition(plan, latency_of);
-  ASSERT_FALSE(part.cross_links.empty());
-  Time expected_min = Time::max();
-  for (const net::CrossLpLink& link : part.cross_links) {
-    // Identity switch -> LP map: LP ids are switch ids.
-    const Time expect = latency_of(static_cast<int>(link.src_lp),
-                                   static_cast<int>(link.dst_lp));
-    EXPECT_EQ(link.latency, expect);
-    expected_min = std::min(expected_min, expect);
-  }
-  EXPECT_EQ(part.lookahead, expected_min);
-  EXPECT_GT(part.lookahead, Time::zero());
-}
-
-TEST(LpPartition, ScalarOverloadStampsTheUniformLatencyEverywhere) {
+TEST(LpPartition, HopLatencyIsTheLookaheadOverEveryInteriorLink) {
   const net::TopologyPlan plan =
       net::build_topology(net::TopologyConfig::torus(2), 16);
   const net::LpPartition part =
       net::build_lp_partition(plan, Time::micros(2));
+  EXPECT_EQ(part.lp_count, plan.switches.size());
+  // One LP per switch, so every directed interior link crosses LPs.
+  std::size_t interior = 0;
+  for (const auto& sw : plan.switches) {
+    for (const auto& port : sw.ports) interior += port.peer_switch >= 0;
+  }
   ASSERT_FALSE(part.cross_links.empty());
+  EXPECT_EQ(part.cross_links.size(), interior);
   for (const net::CrossLpLink& link : part.cross_links) {
-    EXPECT_EQ(link.latency, Time::micros(2));
+    EXPECT_NE(link.src_lp, link.dst_lp);
   }
   EXPECT_EQ(part.lookahead, Time::micros(2));
 }
@@ -460,27 +443,35 @@ TEST(LpPartition, ScalarOverloadStampsTheUniformLatencyEverywhere) {
 TEST(LpPartition, RejectsNonPositiveLinkLatency) {
   const net::TopologyPlan plan =
       net::build_topology(net::TopologyConfig::fat_tree(2), 16);
-  // Scalar overload: a zero uniform latency can never support
-  // conservative progress on a multi-LP plan.
+  // A zero hop latency can never support conservative progress on a
+  // multi-LP plan.
   EXPECT_THROW(net::build_lp_partition(plan, Time::zero()),
                std::invalid_argument);
-  // Callback overload: one bad link poisons the minimum, so it must be
-  // rejected even when every other link is fine — and the error names
-  // the offending link.
-  const net::LpPartition good = net::build_lp_partition(plan, Time::micros(1));
-  ASSERT_FALSE(good.cross_links.empty());
-  const int bad_src = static_cast<int>(good.cross_links.front().src_lp);
-  auto latency_of = [bad_src](int src_sw, int dst_sw) {
-    (void)dst_sw;
-    return src_sw == bad_src ? Time::zero() : Time::micros(1);
-  };
-  try {
-    net::build_lp_partition(plan, latency_of);
-    FAIL() << "expected the zero-latency link to be rejected";
-  } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find("link sw"), std::string::npos)
-        << e.what();
-  }
+}
+
+TEST(LpPartition, OneLpPartitionPlacesEverythingOnLpZero) {
+  const net::TopologyPlan plan =
+      net::build_topology(net::TopologyConfig::fat_tree(3), 16);
+  const net::LpPartition part = net::one_lp_partition(plan);
+  EXPECT_EQ(part.lp_count, 1u);
+  ASSERT_EQ(part.lp_of_switch.size(), plan.switches.size());
+  ASSERT_EQ(part.lp_of_host.size(), plan.hosts.size());
+  for (const std::size_t lp : part.lp_of_switch) EXPECT_EQ(lp, 0u);
+  for (const std::size_t lp : part.lp_of_host) EXPECT_EQ(lp, 0u);
+  EXPECT_TRUE(part.cross_links.empty());
+  EXPECT_EQ(part.lookahead, Time::zero());
+}
+
+TEST(LpPartition, FabricRejectsAPartitionOfAnotherTopology) {
+  net::NetworkConfig cfg;
+  cfg.topology = net::TopologyConfig::fat_tree(2);
+  const net::TopologyPlan plan = net::build_topology(cfg.topology, 16);
+  // A star's partition covers one switch; the fat tree has more.
+  const net::LpPartition star =
+      net::one_lp_partition(net::build_topology(net::TopologyConfig{}, 16));
+  ASSERT_NE(star.lp_of_switch.size(), plan.switches.size());
+  sim::ParallelEngine pe(1, {});
+  EXPECT_THROW(net::Fabric(pe, star, plan, cfg), std::invalid_argument);
 }
 
 }  // namespace
