@@ -1,7 +1,8 @@
 // Google-benchmark microbenchmarks of the event core: schedule/dispatch
-// throughput of the zero-allocation engine (InlineCallback + 4-ary
-// move-out heap + cancelable timers), coroutine ping-pong, timer churn,
-// interior cancellation and the parallel engine's window barrier.
+// throughput of the zero-allocation engine (InlineCallback + 4-ary key
+// heap over a callback slab + cancelable timers), coroutine ping-pong,
+// timer churn, interior cancellation and the parallel engine's window
+// barrier.
 #include <benchmark/benchmark.h>
 
 #include <coroutine>
@@ -24,7 +25,7 @@ using namespace acc;
 
 /// Capture payload sized like the simulator's real events (TCP retransmit
 /// captures {this, &conn, generation}; INIC timers {this, dst,
-/// generation}): 24 bytes, which InlineCallback keeps in the heap entry.
+/// generation}): 24 bytes, which InlineCallback keeps in its slab slot.
 struct EventPayload {
   void* owner;
   std::uint64_t generation;
@@ -54,7 +55,10 @@ void BM_NewEngine_ScheduleDispatch(benchmark::State& state) {
   benchmark::DoNotOptimize(sink);
   state.SetItemsProcessed(state.iterations() * events);
 }
-BENCHMARK(BM_NewEngine_ScheduleDispatch)->Arg(1 << 10)->Arg(1 << 14);
+BENCHMARK(BM_NewEngine_ScheduleDispatch)
+    ->Arg(1 << 10)
+    ->Arg(1 << 14)
+    ->Arg(1 << 17);
 
 // ---------------------------------------------------------------------
 // Coroutine ping-pong

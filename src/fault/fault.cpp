@@ -10,61 +10,72 @@
 
 namespace acc::fault {
 
-FaultInjector::FaultInjector(apps::SimCluster& cluster, FaultPlan plan)
-    : cluster_(cluster),
-      plan_(std::move(plan)),
-      events_(cluster.engine().counters().get(trace::Category::kFault, -1,
-                                              "fault/events")) {
-  if (cluster_.sharded() && !plan_.empty()) {
+namespace {
+
+/// Rejects a plan the cluster cannot run; returns it unchanged otherwise.
+/// Runs before the injector registers its counter, so a rejected plan
+/// leaves no trace in the cluster's counters.
+FaultPlan validated(apps::SimCluster& cluster, FaultPlan plan) {
+  if (cluster.sharded() && !plan.empty()) {
     throw std::invalid_argument(
         "FaultInjector: fault windows mutate port and card state owned by "
         "other LPs, which an LP-sharded cluster cannot order; run fault "
         "plans with ClusterOptions::engine_threads <= 1");
   }
-  if (!plan_.card_reset.empty() && !apps::is_inic(cluster_.interconnect())) {
+  if (!plan.card_reset.empty() && !apps::is_inic(cluster.interconnect())) {
     throw std::invalid_argument(
         "FaultInjector: card-reset windows require an INIC interconnect");
   }
-  const std::size_t n = cluster_.size();
+  const std::size_t n = cluster.size();
   auto check_node = [n](int node, const char* what) {
     if (node < 0 || static_cast<std::size_t>(node) >= n) {
       throw std::out_of_range(std::string("FaultInjector: ") + what +
                               " window names node " + std::to_string(node));
     }
   };
-  for (const auto& w : plan_.link_down) check_node(w.node, "link-down");
-  for (const auto& w : plan_.port_degrade) check_node(w.node, "port-degrade");
-  for (const auto& w : plan_.buffer_shrink) check_node(w.node, "buffer-shrink");
-  for (const auto& w : plan_.card_reset) check_node(w.node, "card-reset");
+  for (const auto& w : plan.link_down) check_node(w.node, "link-down");
+  for (const auto& w : plan.port_degrade) check_node(w.node, "port-degrade");
+  for (const auto& w : plan.buffer_shrink) check_node(w.node, "buffer-shrink");
+  for (const auto& w : plan.card_reset) check_node(w.node, "card-reset");
   // Factor contracts are enforced here, at plan-arm time, so a bad plan
   // fails loudly before the run instead of mid-simulation when the
   // window opens.
-  for (const auto& w : plan_.port_degrade) {
+  for (const auto& w : plan.port_degrade) {
     if (!(w.rate_factor > 0.0) || w.rate_factor > 1.0) {
       throw std::invalid_argument(
           "FaultInjector: port-degrade rate_factor must be in (0, 1]");
     }
   }
-  for (const auto& w : plan_.buffer_shrink) {
+  for (const auto& w : plan.buffer_shrink) {
     if (!(w.buffer_factor >= 0.0) || w.buffer_factor > 1.0) {
       throw std::invalid_argument(
           "FaultInjector: buffer-shrink buffer_factor must be in [0, 1]");
     }
   }
-  auto check_interior = [this](int a, int b, const char* what) {
-    if (!cluster_.network().has_interior_link(a, b)) {
+  auto check_interior = [&cluster](int a, int b, const char* what) {
+    if (!cluster.network().has_interior_link(a, b)) {
       throw std::invalid_argument(
           std::string("FaultInjector: ") + what + " names switches " +
           std::to_string(a) + " and " + std::to_string(b) +
           ", which share no fabric link");
     }
   };
-  for (const auto& w : plan_.interior_link_down) {
+  for (const auto& w : plan.interior_link_down) {
     check_interior(w.switch_a, w.switch_b, "interior-link-down window");
   }
-  for (const auto& w : plan_.interior_link_failed) {
+  for (const auto& w : plan.interior_link_failed) {
     check_interior(w.switch_a, w.switch_b, "interior-link failure");
   }
+  return plan;
+}
+
+}  // namespace
+
+FaultInjector::FaultInjector(apps::SimCluster& cluster, FaultPlan plan)
+    : cluster_(cluster),
+      plan_(validated(cluster, std::move(plan))),
+      events_(cluster.engine().counters().get(trace::Category::kFault, -1,
+                                              "fault/events")) {
   arm();
 }
 

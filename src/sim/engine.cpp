@@ -19,9 +19,9 @@ TimerHandle Engine::schedule_cancelable_at(Time when, Callback fn) {
 
 bool Engine::step() {
   if (queue_.empty()) return false;
-  // pop() moves the entry (callback included) out of the heap — no copy,
-  // no allocation on the dispatch path.
-  EventHeap::Entry ev = queue_.pop();
+  // pop() moves the callback out of its slab slot — no copy, no
+  // allocation on the dispatch path — before it runs and can schedule.
+  EventHeap::Event ev = queue_.pop();
   assert(ev.when >= now_);
   now_ = ev.when;
   ++executed_;

@@ -1,18 +1,18 @@
 // Discrete-event simulation engine.
 //
-// The engine owns a 4-ary min-heap of (time, sequence, callback) events
-// (src/sim/event_heap.hpp).  Everything that happens in a simulated
-// cluster — a DMA burst finishing, a frame arriving at a switch port, a
-// CPU finishing a compute phase — is an event.  Processes
+// The engine owns a 4-ary min-heap of (time, sequence) event keys over a
+// slab of callbacks (src/sim/event_heap.hpp).  Everything that happens in
+// a simulated cluster — a DMA burst finishing, a frame arriving at a
+// switch port, a CPU finishing a compute phase — is an event.  Processes
 // (src/sim/process.hpp) are C++20 coroutines whose suspensions are
 // implemented as events, so the engine itself stays a plain callback
 // scheduler with deterministic FIFO tie-breaking.
 //
 // The hot path is allocation-free: callbacks are move-only
-// InlineCallbacks (src/sim/callback.hpp) whose captures live inside the
-// heap entry, and dispatch moves the callback out of the heap instead of
-// copying it.  Defensive timers (retransmission timeouts that almost
-// always turn out unnecessary) use schedule_cancelable(), whose
+// InlineCallbacks (src/sim/callback.hpp) whose captures live inside a
+// recycled slab slot, and dispatch moves the callback out of its slot
+// instead of copying it.  Defensive timers (retransmission timeouts that
+// almost always turn out unnecessary) use schedule_cancelable(), whose
 // TimerHandle removes the event from the heap in O(log n) instead of
 // letting it fire as a stale no-op.  docs/ENGINE.md covers the design.
 #pragma once
@@ -47,7 +47,7 @@ class WatchdogTimeout : public std::runtime_error {
 /// canceled, or superseded) handles are expired: cancel() on them is a
 /// no-op returning false, so callers can cancel unconditionally.
 /// Copyable — a handle is just a name; the event itself lives in the
-/// engine's heap.
+/// engine's queue.
 class TimerHandle {
  public:
   TimerHandle() = default;

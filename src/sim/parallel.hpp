@@ -79,7 +79,6 @@ class ParallelEngine {
 
   std::size_t lp_count() const { return shards_.size(); }
   std::size_t threads() const { return threads_; }
-  Time lookahead() const { return lookahead_; }
 
   /// Shard `i`'s engine.  LP-local code schedules through it exactly as
   /// through a standalone Engine; only its owning worker may touch it

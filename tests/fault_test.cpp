@@ -501,6 +501,26 @@ TEST(FaultInjector, RejectsInvalidPlans) {
   EXPECT_THROW(fault::FaultInjector(small, bad_node), std::out_of_range);
 }
 
+TEST(FaultInjector, RejectedPlanRegistersNoCounter) {
+  // Validation runs before the injector registers fault/events, so a
+  // refused plan leaves the cluster's counter set as it found it.
+  apps::ClusterOptions copts;
+  copts.topology = net::TopologyConfig::fat_tree(2);
+  copts.engine_threads = 2;
+  apps::SimCluster cluster(8, apps::Interconnect::kInicIdeal,
+                           model::default_calibration(), copts);
+  ASSERT_TRUE(cluster.sharded());
+  const std::size_t before = cluster.counters_snapshot().size();
+  fault::FaultPlan plan;
+  plan.with_link_down(7, Time::micros(5), Time::micros(20));
+  EXPECT_THROW(fault::FaultInjector(cluster, plan), std::invalid_argument);
+  EXPECT_EQ(cluster.counters_snapshot().size(), before);
+  // An accepted (empty) plan does register it: the snapshot sees the
+  // counter, so the equality above is not vacuous.
+  fault::FaultInjector accepted(cluster, fault::FaultPlan{});
+  EXPECT_EQ(cluster.counters_snapshot().size(), before + 1);
+}
+
 // ---------------------------------------------------------------------
 // Watchdog + deadlock diagnostics
 // ---------------------------------------------------------------------

@@ -1,7 +1,7 @@
-// EventHeap: the engine's 4-ary min-heap with move-out pop and O(log n)
-// cancellation.  The core property test drives random
-// schedule/pop/cancel interleavings against a reference model (a plain
-// sorted multiset over (when, seq) — the exact strict-weak order
+// EventHeap: the engine's 4-ary key heap over a callback slab, with
+// move-out pop and O(log n) cancellation.  The core property test drives
+// random schedule/pop/cancel interleavings against a reference model (a
+// plain sorted multiset over (when, seq) — the exact strict-weak order
 // std::priority_queue used in the old engine) and requires identical
 // pop order, including the seq tie-breaks the simulator's FIFO
 // determinism contract rests on.
@@ -87,6 +87,25 @@ TEST(EventHeap, SlotReuseExpiresStaleHandles) {
   EXPECT_TRUE(heap.pending(second));
   EXPECT_TRUE(heap.cancel(second));
   EXPECT_EQ(heap.live_slots(), 0u);
+}
+
+TEST(EventHeap, PlainPushReusingACancelSlotExpiresTheHandle) {
+  EventHeap heap;
+  int fired = 0;
+  const auto h = heap.push_cancelable(Time::micros(1), 0, [] {});
+  heap.pop().fn();
+  // The plain push takes the freed slab slot (the only free one), so the
+  // next cancelable push lands in a fresh slot.
+  heap.push(Time::micros(2), 1, [&fired] { ++fired; });
+  const auto next = heap.push_cancelable(Time::micros(3), 2, [] {});
+  EXPECT_NE(next.slot, h.slot);
+  EXPECT_FALSE(heap.pending(h));
+  EXPECT_FALSE(heap.cancel(h));
+  EXPECT_EQ(heap.size(), 2u);
+  EXPECT_EQ(heap.live_slots(), 2u);
+  heap.pop().fn();
+  EXPECT_EQ(fired, 1);  // the stale cancel did not kill the plain event
+  EXPECT_TRUE(heap.pending(next));
 }
 
 TEST(EventHeap, CanceledCallbackIsDestroyedNotLeaked) {
@@ -235,6 +254,43 @@ TEST(EngineReserve, DigestIdenticalWithAndWithoutReserve) {
   EXPECT_EQ(digest_of(4096), unreserved);
 }
 #endif  // ACC_TRACE_DISABLED
+
+TEST(EngineDispatch, CallbackGrowingTheSlabDispatchesInOrder) {
+  // One running callback schedules 10,000 events into an unreserved
+  // engine, so the callback slab reallocates many times while that
+  // callback is still executing.  Every capture holds a shared_ptr: a
+  // callback lost, duplicated or destroyed twice across the growth shows
+  // up in the use count.
+  constexpr int kEvents = 10000;
+  auto tracked = std::make_shared<int>(0);
+  Engine eng;
+  std::vector<std::int64_t> delay_ns(kEvents);
+  std::vector<std::pair<std::int64_t, int>> fired;  // (now ns, index)
+  eng.schedule(Time::zero(), [&] {
+    Rng rng(5);
+    for (int i = 0; i < kEvents; ++i) {
+      delay_ns[static_cast<std::size_t>(i)] =
+          static_cast<std::int64_t>(rng.below(64));
+      eng.schedule(Time::nanos(delay_ns[static_cast<std::size_t>(i)]),
+                   [keep = tracked, &fired, &eng, i] {
+                     (void)keep;
+                     fired.emplace_back(eng.now().as_nanos(), i);
+                   });
+    }
+    EXPECT_EQ(tracked.use_count(), kEvents + 1);
+  });
+  eng.run();
+  ASSERT_EQ(fired.size(), static_cast<std::size_t>(kEvents));
+  for (std::size_t k = 0; k < fired.size(); ++k) {
+    const auto [when, i] = fired[k];
+    EXPECT_EQ(when, delay_ns[static_cast<std::size_t>(i)]);
+    // (when, seq) order: seq grows with i, so (when, i) strictly rises.
+    if (k > 0) {
+      EXPECT_LT(fired[k - 1], fired[k]) << "at dispatch " << k;
+    }
+  }
+  EXPECT_EQ(tracked.use_count(), 1);
+}
 
 TEST(EngineTimer, CancelableTimerNeverFiresOnceCanceled) {
   Engine eng;
