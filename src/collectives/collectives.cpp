@@ -1,59 +1,52 @@
-// Public collective entry points: thin dispatchers to the backend the
-// cluster was configured with (collectives/backend.hpp), plus the
-// backend-independent helpers (hop ordering, host combine cost).
+// Public collective entry points: each picks the host or NIC backend
+// (collectives/detail.hpp) from cluster.options().collective_backend,
+// plus the backend-independent helpers (hop ordering, host combine cost).
 #include "collectives/collectives.hpp"
 
 #include <algorithm>
 #include <numeric>
 
-#include "collectives/backend.hpp"
+#include "collectives/detail.hpp"
 
 namespace acc::coll {
 
-const ICollectiveRoutines& routines_for(apps::SimCluster& cluster) {
+namespace {
+
+bool on_nic(const apps::SimCluster& cluster) {
   return cluster.options().collective_backend ==
-                 apps::CollectiveBackend::kNic
-             ? nic_routines()
-             : host_routines();
+         apps::CollectiveBackend::kNic;
 }
+
+}  // namespace
 
 CollectiveResult barrier(apps::SimCluster& cluster) {
-  return routines_for(cluster).barrier(cluster);
-}
-
-CollectiveResult broadcast(apps::SimCluster& cluster, std::size_t elements,
-                           std::uint64_t seed) {
-  return routines_for(cluster).broadcast(cluster, elements, seed);
-}
-
-CollectiveResult reduce(apps::SimCluster& cluster, std::size_t elements,
-                        std::uint64_t seed) {
-  return routines_for(cluster).reduce(cluster, elements, seed);
-}
-
-CollectiveResult allreduce(apps::SimCluster& cluster, std::size_t elements,
-                           std::uint64_t seed) {
-  return routines_for(cluster).allreduce(cluster, elements, seed);
+  return on_nic(cluster) ? detail::nic_barrier(cluster)
+                         : detail::host_barrier(cluster);
 }
 
 CollectiveResult alltoall(apps::SimCluster& cluster, std::size_t elements,
                           std::uint64_t seed) {
-  return routines_for(cluster).alltoall(cluster, elements, seed);
+  // No spanning tree to offload on either backend: the host backend
+  // already runs all P*(P-1) streams concurrently through the cards.
+  return detail::host_alltoall(cluster, elements, seed);
 }
 
 CollectiveResult topology_broadcast(apps::SimCluster& cluster,
                                     std::size_t elements, std::uint64_t seed) {
-  return routines_for(cluster).topology_broadcast(cluster, elements, seed);
+  return on_nic(cluster) ? detail::nic_broadcast(cluster, elements, seed)
+                         : detail::host_broadcast(cluster, elements, seed);
 }
 
 CollectiveResult topology_reduce(apps::SimCluster& cluster,
                                  std::size_t elements, std::uint64_t seed) {
-  return routines_for(cluster).topology_reduce(cluster, elements, seed);
+  return on_nic(cluster) ? detail::nic_reduce(cluster, elements, seed)
+                         : detail::host_reduce(cluster, elements, seed);
 }
 
 CollectiveResult topology_allreduce(apps::SimCluster& cluster,
                                     std::size_t elements, std::uint64_t seed) {
-  return routines_for(cluster).topology_allreduce(cluster, elements, seed);
+  return on_nic(cluster) ? detail::nic_allreduce(cluster, elements, seed)
+                         : detail::host_allreduce(cluster, elements, seed);
 }
 
 std::vector<std::size_t> hop_ordered_ranks(apps::SimCluster& cluster,

@@ -21,13 +21,13 @@
 // All collectives move real data; results are verified against serial
 // references in the tests.
 //
-// Orthogonally to the interconnect, the *driver* of the collective is a
-// swappable backend (collectives/backend.hpp, selected by
-// apps::ClusterOptions::collective_backend): the Host backend runs the
-// send/recv loops above on the host ranks; the Nic backend walks the
-// same topology-aware binomial trees entirely on the INIC cards via
-// trigger primitives (inic/collective.hpp).  The free functions below
-// dispatch to the cluster's configured backend.  See docs/COLLECTIVES.md.
+// Orthogonally to the interconnect, apps::ClusterOptions::collective_backend
+// picks who drives the trees: the Host backend runs the send/recv loops
+// above on the host ranks, over SimCluster::transfer() and inbox() (so the
+// degraded TCP fallback carries them through a card reset); the Nic
+// backend walks the same trees entirely on the INIC cards via trigger
+// primitives (inic/collective.hpp).  Both lay every tree over
+// hop_ordered_ranks().  See docs/COLLECTIVES.md.
 #pragma once
 
 #include <cstdint>
@@ -57,49 +57,35 @@ struct CollectiveResult {
 /// rank leaves before every rank has entered.
 CollectiveResult barrier(apps::SimCluster& cluster);
 
-/// Broadcast `elements` doubles from rank 0 (binomial tree).
-CollectiveResult broadcast(apps::SimCluster& cluster, std::size_t elements,
-                           std::uint64_t seed = 1);
-
-/// Elementwise-sum reduce of `elements` doubles to rank 0 (binomial
-/// tree).  On the host path each combine charges CPU time per element;
-/// on the INIC the combine rides the stream for free.
-CollectiveResult reduce(apps::SimCluster& cluster, std::size_t elements,
-                        std::uint64_t seed = 2);
-
-/// Allreduce = reduce to rank 0 + broadcast.
-CollectiveResult allreduce(apps::SimCluster& cluster, std::size_t elements,
-                           std::uint64_t seed = 3);
-
 /// Personalized all-to-all of `elements` doubles per pair.  Host path:
 /// serialized pairwise exchanges (MPI style); INIC path: concurrent
 /// credit-windowed streams.
 CollectiveResult alltoall(apps::SimCluster& cluster, std::size_t elements,
                           std::uint64_t seed = 4);
 
-// ---------------------------------------------------------------------
-// Topology-aware tree collectives.
-//
-// The binomial trees above pair ranks by id, which on a multi-hop fabric
-// (fat tree, torus — see net/topology.hpp) makes the largest subtrees
-// span the longest paths.  These variants lay the same binomial tree
-// over the ranks re-ordered by fabric hop distance from the root
-// (ties broken by node id — fully deterministic), so early tree edges
-// connect topologically close nodes and the deep-path hops carry the
-// smallest subtrees.  On a star the order is the identity and the
-// result is the plain binomial collective.
-// ---------------------------------------------------------------------
+// Tree collectives.  A binomial tree that paired ranks by id would, on a
+// multi-hop fabric (fat tree, torus — see net/topology.hpp), make the
+// largest subtrees span the longest paths.  These lay the binomial tree
+// over the ranks re-ordered by fabric hop distance from the root (ties
+// broken by node id — fully deterministic), so early tree edges connect
+// topologically close nodes and the deep-path hops carry the smallest
+// subtrees.  On a star the order is the identity.
 
 /// Rank permutation used by the topology_* collectives: position i holds
 /// the physical node acting as logical rank i (root first).
 std::vector<std::size_t> hop_ordered_ranks(apps::SimCluster& cluster,
                                            std::size_t root = 0);
 
+/// Broadcast `elements` doubles from logical rank 0.
 CollectiveResult topology_broadcast(apps::SimCluster& cluster,
                                     std::size_t elements,
                                     std::uint64_t seed = 1);
+/// Elementwise-sum reduce of `elements` doubles to logical rank 0.  On the
+/// host path each combine charges CPU time per element; on the INIC the
+/// combine rides the stream for free.
 CollectiveResult topology_reduce(apps::SimCluster& cluster,
                                  std::size_t elements, std::uint64_t seed = 2);
+/// Allreduce = reduce to logical rank 0 + broadcast down the same tree.
 CollectiveResult topology_allreduce(apps::SimCluster& cluster,
                                     std::size_t elements,
                                     std::uint64_t seed = 3);

@@ -1,24 +1,21 @@
-// Host backend: the original host-driven collective algorithms, moved
-// verbatim behind ICollectiveRoutines.  Every rank runs a send/recv loop
-// on its host; combines charge host CPU time on the TCP interconnects
-// and ride the INIC stream for free on the INIC ones.  This file must
-// stay event-for-event identical to the pre-backend implementation — the
-// golden trace digests pin it.
+// Host backend: every rank runs a send/recv loop on its host; combines
+// charge host CPU time on the TCP interconnects and ride the INIC stream
+// for free on the INIC ones.  Messages go through SimCluster::transfer()
+// and SimCluster::inbox(), the same seam the NIC backend's on-card
+// forwards use, so the degraded TCP fallback carries host collectives
+// through a card reset too.  The golden trace digests pin this file
+// event for event.
 #include <algorithm>
-#include <cmath>
 #include <memory>
 #include <utility>
 
-#include "collectives/backend.hpp"
-#include "common/rng.hpp"
+#include "collectives/detail.hpp"
 #include "proto/tagged_inbox.hpp"
 #include "sim/process.hpp"
 
-namespace acc::coll {
+namespace acc::coll::detail {
 
 namespace {
-
-using DoubleVec = std::vector<double>;
 
 constexpr std::uint64_t kBarrierTagBase = 0x0100'0000;
 constexpr std::uint64_t kBcastTag = 0x0200'0000;
@@ -26,9 +23,9 @@ constexpr std::uint64_t kReduceTag = 0x0300'0000;
 constexpr std::uint64_t kAllreduceBcastTag = 0x0400'0000;
 constexpr std::uint64_t kAlltoallTagBase = 0x0500'0000;
 
-/// Uniform send/receive over either transport.  Collectives are written
-/// once against this shim; the interconnect decides whether messages
-/// cross host TCP stacks or card-to-card INIC streams.
+/// One rank's endpoint: sends through SimCluster::transfer(), tag-matched
+/// receives over SimCluster::inbox().  The interconnect decides whether
+/// messages cross host TCP stacks or card-to-card INIC streams.
 class Transport {
  public:
   Transport(apps::SimCluster& cluster, std::size_t me)
@@ -36,22 +33,16 @@ class Transport {
         me_(me),
         eng_(cluster.node_engine(me)),
         inic_(apps::is_inic(cluster.interconnect())),
-        inbox_(inic_ ? cluster.card(me).card_inbox()
-                     : cluster.tcp(me).inbox()) {}
+        inbox_(cluster.inbox(me)) {}
 
   sim::Process send(std::size_t dst, Bytes size, std::uint64_t tag,
                     std::any payload) {
-    if (inic_) {
-      co_await cluster_.card(me_).send_stream(static_cast<int>(dst), size,
-                                              tag, std::move(payload));
-    } else {
-      co_await cluster_.tcp(me_).send_message(static_cast<int>(dst), size,
-                                              tag, std::move(payload));
-    }
+    return cluster_.transfer(static_cast<int>(me_), static_cast<int>(dst),
+                             size, tag, std::move(payload));
   }
 
   sim::Process recv(std::uint64_t tag, proto::Message& out) {
-    co_await inbox_.recv(tag, out);
+    return inbox_.recv(tag, out);
   }
 
   bool inic() const { return inic_; }
@@ -70,23 +61,6 @@ class Transport {
   bool inic_;
   proto::TaggedInbox inbox_;
 };
-
-Bytes vec_bytes(std::size_t elements) { return Bytes(elements * sizeof(double)); }
-
-/// Logical-rank -> physical-node permutation for the topology-aware
-/// variants; null means identity (the plain binomial collectives).
-using RankOrder = std::shared_ptr<const std::vector<std::size_t>>;
-
-std::size_t to_physical(const RankOrder& order, std::size_t logical) {
-  return order ? (*order)[logical] : logical;
-}
-
-DoubleVec make_vector(std::size_t elements, std::uint64_t seed) {
-  Rng rng(seed);
-  DoubleVec v(elements);
-  for (auto& x : v) x = rng.uniform(-1.0, 1.0);
-  return v;
-}
 
 /// Combine partial results; on the host path this costs CPU time, on the
 /// INIC it rides the stream (charged nowhere).
@@ -124,22 +98,22 @@ sim::Process barrier_rank(Transport t, std::size_t p_count, Time enter_delay,
 }
 
 // ---------------------------------------------------------------------
-// Broadcast: binomial tree from rank 0.
+// Trees: binomial over logical ranks; order[l] is the physical node
+// acting as logical rank l (hop_ordered_ranks()).
 // ---------------------------------------------------------------------
 
-sim::Process bcast_rank(Transport t, std::size_t p_count,
-                        std::size_t elements, DoubleVec& data,
-                        RankOrder order = nullptr, std::size_t logical = 0) {
+/// Broadcast from logical rank 0: wait for the parent's copy, then
+/// forward it to every child concurrently.
+sim::Process bcast_steps(Transport& t, std::size_t p_count,
+                         std::size_t elements, DoubleVec& data,
+                         const std::vector<std::size_t>& order,
+                         std::size_t me, std::uint64_t tag) {
   sim::Engine& eng = t.engine();
-  // The binomial mask logic runs over *logical* ranks; sends address the
-  // physical node holding the target rank.  Identity order: me == t.me().
-  const std::size_t me = order ? logical : t.me();
-
   std::size_t mask = 1;
   while (mask < p_count) {
     if (me & mask) {
       proto::Message msg;
-      co_await t.recv(kBcastTag, msg);
+      co_await t.recv(tag, msg);
       data = std::any_cast<DoubleVec>(std::move(msg.payload));
       break;
     }
@@ -150,8 +124,8 @@ sim::Process bcast_rank(Transport t, std::size_t p_count,
   while (mask > 0) {
     const std::size_t dst = me + mask;
     if ((me & (mask - 1)) == 0 && dst < p_count && !(me & mask)) {
-      sends.push_back(std::make_unique<sim::Process>(t.send(
-          to_physical(order, dst), vec_bytes(elements), kBcastTag, data)));
+      sends.push_back(std::make_unique<sim::Process>(
+          t.send(order[dst], vec_bytes(elements), tag, data)));
       sends.back()->start(eng);
     }
     mask >>= 1;
@@ -159,18 +133,15 @@ sim::Process bcast_rank(Transport t, std::size_t p_count,
   for (auto& s : sends) co_await *s;
 }
 
-// ---------------------------------------------------------------------
-// Reduce: binomial tree toward rank 0, elementwise sum.
-// ---------------------------------------------------------------------
-
+/// Reduce toward logical rank 0, elementwise sum.
 sim::Process reduce_steps(Transport& t, std::size_t p_count,
                           std::size_t elements, DoubleVec& data,
-                          RankOrder order = nullptr, std::size_t logical = 0) {
-  const std::size_t me = order ? logical : t.me();
+                          const std::vector<std::size_t>& order,
+                          std::size_t me) {
   for (std::size_t mask = 1; mask < p_count; mask <<= 1) {
     if (me & mask) {
-      co_await t.send(to_physical(order, me - mask), vec_bytes(elements),
-                      kReduceTag, std::move(data));
+      co_await t.send(order[me - mask], vec_bytes(elements), kReduceTag,
+                      std::move(data));
       data.clear();
       break;
     }
@@ -184,13 +155,34 @@ sim::Process reduce_steps(Transport& t, std::size_t p_count,
   }
 }
 
+sim::Process bcast_rank(Transport t, std::size_t p_count,
+                        std::size_t elements, DoubleVec& data,
+                        const std::vector<std::size_t>& order,
+                        std::size_t logical) {
+  co_await bcast_steps(t, p_count, elements, data, order, logical, kBcastTag);
+}
+
 sim::Process reduce_rank(Transport t, std::size_t p_count,
                          std::size_t elements, DoubleVec& data,
-                         RankOrder order = nullptr, std::size_t logical = 0) {
+                         const std::vector<std::size_t>& order,
+                         std::size_t logical) {
   co_await reduce_steps(t, p_count, elements, data, order, logical);
 }
 
-CollectiveResult run_barrier(apps::SimCluster& cluster) {
+/// Reduce to logical rank 0, then broadcast the sum back down the same
+/// tree under its own tag.
+sim::Process allreduce_rank(Transport t, std::size_t p_count,
+                            std::size_t elements, DoubleVec& data,
+                            const std::vector<std::size_t>& order,
+                            std::size_t logical) {
+  co_await reduce_steps(t, p_count, elements, data, order, logical);
+  co_await bcast_steps(t, p_count, elements, data, order, logical,
+                       kAllreduceBcastTag);
+}
+
+}  // namespace
+
+CollectiveResult host_barrier(apps::SimCluster& cluster) {
   const std::size_t p_count = cluster.size();
   std::vector<Time> entered(p_count), left(p_count);
 
@@ -216,19 +208,20 @@ CollectiveResult run_barrier(apps::SimCluster& cluster) {
   return result;
 }
 
-CollectiveResult run_broadcast(apps::SimCluster& cluster, std::size_t elements,
-                               std::uint64_t seed, RankOrder order) {
+CollectiveResult host_broadcast(apps::SimCluster& cluster,
+                                std::size_t elements, std::uint64_t seed) {
   const std::size_t p_count = cluster.size();
+  const std::vector<std::size_t> order = hop_ordered_ranks(cluster);
   const DoubleVec root_data = make_vector(elements, seed);
   std::vector<DoubleVec> data(p_count);  // indexed by physical node
-  data[to_physical(order, 0)] = root_data;
+  data[order[0]] = root_data;
 
   sim::ProcessGroup group(*cluster.parallel());
-  for (std::size_t p = 0; p < p_count; ++p) {
-    const std::size_t phys = to_physical(order, p);
+  for (std::size_t l = 0; l < p_count; ++l) {
+    const std::size_t phys = order[l];
     group.spawn_on(cluster.node_lp(phys),
                    bcast_rank(Transport(cluster, phys), p_count, elements,
-                              data[phys], order, p));
+                              data[phys], order, l));
   }
   const Time total = group.join();
 
@@ -245,10 +238,15 @@ CollectiveResult run_broadcast(apps::SimCluster& cluster, std::size_t elements,
   return result;
 }
 
-CollectiveResult run_reduce(apps::SimCluster& cluster, std::size_t elements,
-                            std::uint64_t seed, RankOrder order) {
+namespace {
+
+/// Reduce (sum lands at logical rank 0) or allreduce (sum everywhere).
+CollectiveResult run_reduction(apps::SimCluster& cluster, std::size_t elements,
+                               std::uint64_t seed,
+                               bool all_ranks_hold_result) {
   const std::size_t p_count = cluster.size();
-  std::vector<DoubleVec> data(p_count);
+  const std::vector<std::size_t> order = hop_ordered_ranks(cluster);
+  std::vector<DoubleVec> data(p_count);  // indexed by physical node
   DoubleVec expected(elements, 0.0);
   for (std::size_t p = 0; p < p_count; ++p) {
     data[p] = make_vector(elements, seed + p);
@@ -256,74 +254,12 @@ CollectiveResult run_reduce(apps::SimCluster& cluster, std::size_t elements,
   }
 
   sim::ProcessGroup group(*cluster.parallel());
-  for (std::size_t p = 0; p < p_count; ++p) {
-    const std::size_t phys = to_physical(order, p);
+  for (std::size_t l = 0; l < p_count; ++l) {
+    const std::size_t phys = order[l];
     group.spawn_on(cluster.node_lp(phys),
-                   reduce_rank(Transport(cluster, phys), p_count, elements,
-                               data[phys], order, p));
-  }
-  const Time total = group.join();
-
-  const DoubleVec& at_root = data[to_physical(order, 0)];
-  CollectiveResult result;
-  result.processors = p_count;
-  result.interconnect = cluster.interconnect();
-  result.payload = vec_bytes(elements);
-  result.total = total;
-  result.verified = at_root.size() == elements;
-  for (std::size_t i = 0; result.verified && i < elements; ++i) {
-    if (std::abs(at_root[i] - expected[i]) > 1e-9) result.verified = false;
-  }
-  result.data = std::move(data);
-  return result;
-}
-
-CollectiveResult run_allreduce(apps::SimCluster& cluster, std::size_t elements,
-                               std::uint64_t seed, RankOrder order) {
-  const std::size_t p_count = cluster.size();
-  std::vector<DoubleVec> data(p_count);
-  DoubleVec expected(elements, 0.0);
-  for (std::size_t p = 0; p < p_count; ++p) {
-    data[p] = make_vector(elements, seed + p);
-    for (std::size_t i = 0; i < elements; ++i) expected[i] += data[p][i];
-  }
-
-  // Reduce to rank 0, then broadcast the sum back down the same tree.
-  auto rank_proc = [&](std::size_t p) -> sim::Process {
-    const std::size_t phys = to_physical(order, p);
-    Transport t(cluster, phys);
-    co_await reduce_steps(t, p_count, elements, data[phys], order, p);
-    // Rebind tags for the broadcast half.
-    sim::Engine& eng = t.engine();
-    const std::size_t me = p;
-    std::size_t mask = 1;
-    while (mask < p_count) {
-      if (me & mask) {
-        proto::Message msg;
-        co_await t.recv(kAllreduceBcastTag, msg);
-        data[phys] = std::any_cast<DoubleVec>(std::move(msg.payload));
-        break;
-      }
-      mask <<= 1;
-    }
-    mask >>= 1;
-    std::vector<std::unique_ptr<sim::Process>> sends;
-    while (mask > 0) {
-      const std::size_t dst = me + mask;
-      if ((me & (mask - 1)) == 0 && dst < p_count && !(me & mask)) {
-        sends.push_back(std::make_unique<sim::Process>(
-            t.send(to_physical(order, dst), vec_bytes(elements),
-                   kAllreduceBcastTag, data[phys])));
-        sends.back()->start(eng);
-      }
-      mask >>= 1;
-    }
-    for (auto& s : sends) co_await *s;
-  };
-
-  sim::ProcessGroup group(*cluster.parallel());
-  for (std::size_t p = 0; p < p_count; ++p) {
-    group.spawn_on(cluster.node_lp(to_physical(order, p)), rank_proc(p));
+                   (all_ranks_hold_result ? allreduce_rank : reduce_rank)(
+                       Transport(cluster, phys), p_count, elements,
+                       data[phys], order, l));
   }
   const Time total = group.join();
 
@@ -332,25 +268,34 @@ CollectiveResult run_allreduce(apps::SimCluster& cluster, std::size_t elements,
   result.interconnect = cluster.interconnect();
   result.payload = vec_bytes(elements);
   result.total = total;
-  result.verified = true;
-  for (std::size_t p = 0; result.verified && p < p_count; ++p) {
-    if (data[p].size() != elements) {
-      result.verified = false;
-      break;
+  if (all_ranks_hold_result) {
+    result.verified = true;
+    for (std::size_t p = 0; p < p_count; ++p) {
+      if (!sums_to(data[p], expected)) result.verified = false;
     }
-    for (std::size_t i = 0; i < elements; ++i) {
-      if (std::abs(data[p][i] - expected[i]) > 1e-9) {
-        result.verified = false;
-        break;
-      }
-    }
+  } else {
+    result.verified = sums_to(data[order[0]], expected);
   }
   result.data = std::move(data);
   return result;
 }
 
-CollectiveResult run_alltoall(apps::SimCluster& cluster, std::size_t elements,
-                              std::uint64_t seed) {
+}  // namespace
+
+CollectiveResult host_reduce(apps::SimCluster& cluster, std::size_t elements,
+                             std::uint64_t seed) {
+  return run_reduction(cluster, elements, seed,
+                       /*all_ranks_hold_result=*/false);
+}
+
+CollectiveResult host_allreduce(apps::SimCluster& cluster,
+                                std::size_t elements, std::uint64_t seed) {
+  return run_reduction(cluster, elements, seed,
+                       /*all_ranks_hold_result=*/true);
+}
+
+CollectiveResult host_alltoall(apps::SimCluster& cluster,
+                               std::size_t elements, std::uint64_t seed) {
   const std::size_t p_count = cluster.size();
   // Value sent from s to d is a deterministic function of (s, d).
   auto block_for = [&](std::size_t s, std::size_t d) {
@@ -427,54 +372,4 @@ CollectiveResult run_alltoall(apps::SimCluster& cluster, std::size_t elements,
   return result;
 }
 
-RankOrder hop_order(apps::SimCluster& cluster) {
-  return std::make_shared<const std::vector<std::size_t>>(
-      hop_ordered_ranks(cluster));
-}
-
-class HostRoutines final : public ICollectiveRoutines {
- public:
-  CollectiveResult barrier(apps::SimCluster& cluster) const override {
-    return run_barrier(cluster);
-  }
-  CollectiveResult broadcast(apps::SimCluster& cluster, std::size_t elements,
-                             std::uint64_t seed) const override {
-    return run_broadcast(cluster, elements, seed, nullptr);
-  }
-  CollectiveResult reduce(apps::SimCluster& cluster, std::size_t elements,
-                          std::uint64_t seed) const override {
-    return run_reduce(cluster, elements, seed, nullptr);
-  }
-  CollectiveResult allreduce(apps::SimCluster& cluster, std::size_t elements,
-                             std::uint64_t seed) const override {
-    return run_allreduce(cluster, elements, seed, nullptr);
-  }
-  CollectiveResult alltoall(apps::SimCluster& cluster, std::size_t elements,
-                            std::uint64_t seed) const override {
-    return run_alltoall(cluster, elements, seed);
-  }
-  CollectiveResult topology_broadcast(apps::SimCluster& cluster,
-                                      std::size_t elements,
-                                      std::uint64_t seed) const override {
-    return run_broadcast(cluster, elements, seed, hop_order(cluster));
-  }
-  CollectiveResult topology_reduce(apps::SimCluster& cluster,
-                                   std::size_t elements,
-                                   std::uint64_t seed) const override {
-    return run_reduce(cluster, elements, seed, hop_order(cluster));
-  }
-  CollectiveResult topology_allreduce(apps::SimCluster& cluster,
-                                      std::size_t elements,
-                                      std::uint64_t seed) const override {
-    return run_allreduce(cluster, elements, seed, hop_order(cluster));
-  }
-};
-
-}  // namespace
-
-const ICollectiveRoutines& host_routines() {
-  static const HostRoutines routines;
-  return routines;
-}
-
-}  // namespace acc::coll
+}  // namespace acc::coll::detail

@@ -7,38 +7,20 @@
 // the cards, so no host CPU time is charged and no interrupt fires
 // anywhere in the collective.
 //
-// The trees are always laid over hop_ordered_ranks(): on a star that is
-// the identity permutation, so the plain and topology_* entry points
-// coincide by construction (unlike the host backend, which keeps the
-// historical id-ordered plain variants).  alltoall has no tree to walk
-// and simply delegates to the host routines' concurrent INIC streams.
+// The trees are laid over hop_ordered_ranks(), exactly as the host
+// backend lays them.  alltoall has no tree to walk; the public entry
+// point runs the host backend's concurrent INIC streams for both.
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
-#include <memory>
 #include <utility>
 
-#include "collectives/backend.hpp"
-#include "common/rng.hpp"
+#include "collectives/detail.hpp"
 #include "inic/collective.hpp"
 #include "sim/process.hpp"
 
-namespace acc::coll {
+namespace acc::coll::detail {
 
 namespace {
-
-using DoubleVec = std::vector<double>;
-
-Bytes vec_bytes(std::size_t elements) {
-  return Bytes(elements * sizeof(double));
-}
-
-DoubleVec make_vector(std::size_t elements, std::uint64_t seed) {
-  Rng rng(seed);
-  DoubleVec v(elements);
-  for (auto& x : v) x = rng.uniform(-1.0, 1.0);
-  return v;
-}
 
 /// Hop-ordered binomial tree: order[l] is the physical node acting as
 /// logical rank l; role[l] holds its physical parent/children.  Logical
@@ -93,6 +75,8 @@ sim::Process data_rank(apps::SimCluster& cluster, std::size_t phys,
   co_await (cluster.collective_engine(phys).*op)(std::move(role), op_id,
                                                  data);
 }
+
+}  // namespace
 
 CollectiveResult nic_barrier(apps::SimCluster& cluster) {
   const std::size_t p_count = cluster.size();
@@ -152,6 +136,8 @@ CollectiveResult nic_broadcast(apps::SimCluster& cluster,
   return result;
 }
 
+namespace {
+
 CollectiveResult nic_reduce_or_allreduce(
     apps::SimCluster& cluster, std::size_t elements, std::uint64_t seed,
     sim::Process (inic::CollectiveEngine::*op)(inic::TreeRole,
@@ -162,8 +148,9 @@ CollectiveResult nic_reduce_or_allreduce(
   const std::uint64_t op_id = cluster.next_collective_op();
   std::vector<DoubleVec> data(p_count);
   DoubleVec expected(elements, 0.0);
-  // Contributions are seeded by *logical* rank, exactly like the host
-  // backend's topology variants, so both backends sum the same vectors.
+  // Contributions are seeded by *logical* rank; the host backend seeds by
+  // physical node, so both backends sum the same P vectors (in a
+  // different order when the hop order is not the identity).
   for (std::size_t l = 0; l < p_count; ++l) {
     data[tree.order[l]] = make_vector(elements, seed + l);
     for (std::size_t i = 0; i < elements; ++i) {
@@ -185,74 +172,32 @@ CollectiveResult nic_reduce_or_allreduce(
   result.interconnect = cluster.interconnect();
   result.payload = vec_bytes(elements);
   result.total = total;
-  result.verified = true;
-  auto check = [&](const DoubleVec& v) {
-    if (v.size() != elements) return false;
-    for (std::size_t i = 0; i < elements; ++i) {
-      if (std::abs(v[i] - expected[i]) > 1e-9) return false;
-    }
-    return true;
-  };
   if (all_ranks_hold_result) {
+    result.verified = true;
     for (std::size_t p = 0; p < p_count; ++p) {
-      if (!check(data[p])) result.verified = false;
+      if (!sums_to(data[p], expected)) result.verified = false;
     }
   } else {
-    result.verified = check(data[tree.order[0]]);
+    result.verified = sums_to(data[tree.order[0]], expected);
   }
   result.data = std::move(data);
   return result;
 }
 
-class NicRoutines final : public ICollectiveRoutines {
- public:
-  CollectiveResult barrier(apps::SimCluster& cluster) const override {
-    return nic_barrier(cluster);
-  }
-  CollectiveResult broadcast(apps::SimCluster& cluster, std::size_t elements,
-                             std::uint64_t seed) const override {
-    return nic_broadcast(cluster, elements, seed);
-  }
-  CollectiveResult reduce(apps::SimCluster& cluster, std::size_t elements,
-                          std::uint64_t seed) const override {
-    return nic_reduce_or_allreduce(cluster, elements, seed,
-                                   &inic::CollectiveEngine::reduce,
-                                   /*all_ranks_hold_result=*/false);
-  }
-  CollectiveResult allreduce(apps::SimCluster& cluster, std::size_t elements,
-                             std::uint64_t seed) const override {
-    return nic_reduce_or_allreduce(cluster, elements, seed,
-                                   &inic::CollectiveEngine::allreduce,
-                                   /*all_ranks_hold_result=*/true);
-  }
-  CollectiveResult alltoall(apps::SimCluster& cluster, std::size_t elements,
-                            std::uint64_t seed) const override {
-    // No spanning tree to offload; the host routines already drive all
-    // P*(P-1) streams concurrently through the cards.
-    return host_routines().alltoall(cluster, elements, seed);
-  }
-  CollectiveResult topology_broadcast(apps::SimCluster& cluster,
-                                      std::size_t elements,
-                                      std::uint64_t seed) const override {
-    return nic_broadcast(cluster, elements, seed);
-  }
-  CollectiveResult topology_reduce(apps::SimCluster& cluster,
-                                   std::size_t elements,
-                                   std::uint64_t seed) const override {
-    return reduce(cluster, elements, seed);
-  }
-  CollectiveResult topology_allreduce(apps::SimCluster& cluster,
-                                      std::size_t elements,
-                                      std::uint64_t seed) const override {
-    return allreduce(cluster, elements, seed);
-  }
-};
-
 }  // namespace
 
-const ICollectiveRoutines& nic_routines() {
-  static const NicRoutines routines;
-  return routines;
+CollectiveResult nic_reduce(apps::SimCluster& cluster, std::size_t elements,
+                            std::uint64_t seed) {
+  return nic_reduce_or_allreduce(cluster, elements, seed,
+                                 &inic::CollectiveEngine::reduce,
+                                 /*all_ranks_hold_result=*/false);
 }
 
-}  // namespace acc::coll
+CollectiveResult nic_allreduce(apps::SimCluster& cluster,
+                               std::size_t elements, std::uint64_t seed) {
+  return nic_reduce_or_allreduce(cluster, elements, seed,
+                                 &inic::CollectiveEngine::allreduce,
+                                 /*all_ranks_hold_result=*/true);
+}
+
+}  // namespace acc::coll::detail

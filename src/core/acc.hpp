@@ -27,7 +27,6 @@
 #include "apps/kv_app.hpp"
 #include "apps/sort_app.hpp"
 #include "common/rng.hpp"
-#include "common/stats.hpp"
 #include "common/table.hpp"
 #include "common/units.hpp"
 #include "core/experiment.hpp"

@@ -48,17 +48,6 @@ class Cpu {
     return sim::DelayUntil{eng_, done};
   }
 
-  /// Awaitable: floating-point kernel of `flops` operations.
-  sim::DelayUntil compute_flops(double flops) {
-    return compute(flops_time(flops));
-  }
-
-  /// Awaitable: memory-bound pass over `amount` bytes with working set
-  /// `working_set` (uses the hierarchy model).
-  sim::DelayUntil memory_pass(Bytes amount, Bytes working_set) {
-    return compute(memory_.pass_time(amount, working_set));
-  }
-
   /// Charges interrupt service time (called by the interrupt controller).
   /// Returns the time the service will complete.
   Time charge_interrupt(Time service) {

@@ -23,6 +23,12 @@ const char* intern_counter_name(std::string name) {
   return pool.insert(std::move(name)).first->c_str();
 }
 
+// Adaptive-routing link-health detection (see RoutingConfig).
+constexpr int kDropThreshold = 3;  // back-to-back dark-port losses
+constexpr int kDownProbes = 3;     // intervals a failure must hold
+constexpr int kUpProbes = 2;       // intervals a repair must hold
+constexpr Time kProbeInterval = Time::nanos(100'000);  // 100 us
+
 }  // namespace
 
 Fabric::Fabric(sim::ParallelEngine& pe, const LpPartition& part,
@@ -167,7 +173,11 @@ Bytes Fabric::bytes_corrupted() const {
 
 Bytes Fabric::peak_buffer_occupancy() const {
   Bytes peak = Bytes::zero();
-  for (const auto& lane : lanes_) peak = std::max(peak, lane.peak_occupancy);
+  for (const auto& sw : switches_) {
+    for (std::size_t p = 0; p < sw->port_count(); ++p) {
+      peak = std::max(peak, sw->out(p).peak);
+    }
+  }
   return peak;
 }
 
@@ -223,18 +233,19 @@ void Fabric::set_interior_link_state(int sw_a, int sw_b, bool up) {
   if (!cfg_.routing.adaptive) return;
   // Heartbeat hysteresis: every physical state change invalidates any
   // in-flight probe check (epoch bump) and schedules one new check
-  // `{down,up}_probes` intervals out — the link is declared only if the
-  // state still holds then.  One bounded event per change, never a
+  // kDownProbes (kUpProbes) intervals out — the link is declared only if
+  // the state still holds then.  One bounded event per change, never a
   // free-running prober, so Engine::run() still terminates when the
   // workload drains.
   const int lo = std::min(sw_a, sw_b);
   const int hi = std::max(sw_a, sw_b);
   auto& health = link_health_[{lo, hi}];
   const std::uint64_t epoch = ++health.probe_epoch;
-  const int probes = up ? cfg_.routing.up_probes : cfg_.routing.down_probes;
-  pe_.lp(0).schedule(
-      cfg_.routing.probe_interval * static_cast<double>(probes),
-      [this, lo, hi, epoch, up] { probe_check(lo, hi, epoch, up); });
+  const int probes = up ? kUpProbes : kDownProbes;
+  pe_.lp(0).schedule(kProbeInterval * static_cast<double>(probes),
+                     [this, lo, hi, epoch, up] {
+                       probe_check(lo, hi, epoch, up);
+                     });
 }
 
 bool Fabric::has_interior_link(int sw_a, int sw_b) const {
@@ -435,9 +446,6 @@ void Fabric::forward_at(int sw, Frame frame) {
     // (tests/routing_test.cpp IncastStorm*).
     return;  // drop-tail: the whole burst is lost
   }
-  if (port.buffered > lanes_[lane].peak_occupancy) {
-    lanes_[lane].peak_occupancy = port.buffered;
-  }
 
   // Egress serialization at the port's line rate, FCFS with other
   // buffered frames, then the egress link latency to the next hop or
@@ -516,7 +524,7 @@ void Fabric::note_interior_drop(int sw_a, int sw_b) {
   if (!cfg_.routing.adaptive) return;
   auto& health = link_health_[{std::min(sw_a, sw_b), std::max(sw_a, sw_b)}];
   if (!health.routed_up) return;  // already failed over
-  if (++health.consecutive_drops >= cfg_.routing.drop_threshold) {
+  if (++health.consecutive_drops >= kDropThreshold) {
     declare_link(std::min(sw_a, sw_b), std::max(sw_a, sw_b), false);
   }
 }

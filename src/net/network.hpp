@@ -58,7 +58,7 @@ class Endpoint {
   virtual void deliver(const Frame& frame) = 0;
 };
 
-/// Fault-aware adaptive routing knobs.  Off by default: with
+/// Fault-aware adaptive routing.  Off by default: with
 /// `adaptive = false` the fabric forwards over the static topology
 /// tables forever and emits no kRouting trace records, so every
 /// pre-existing run (and its digest) is bit-identical.
@@ -66,13 +66,14 @@ class Endpoint {
 /// With `adaptive = true` the fabric maintains a per-interior-link
 /// health state driven by two deterministic signals:
 ///   * heartbeat probes — a physical state change schedules a detection
-///     check `down_probes` (resp. `up_probes`) probe intervals later;
-///     the link is declared failed/recovered only if the state still
-///     holds then (hysteresis: a flap shorter than the probe window
-///     never reaches the routing plane);
-///   * consecutive-drop counters — `drop_threshold` back-to-back frames
-///     lost at a dark interior port declare it failed immediately
-///     (data-driven fast path); any successful forward resets the count.
+///     check 3 (down) or 2 (up) probe intervals of 100 us later; the
+///     link is declared failed/recovered only if the state still holds
+///     then (hysteresis: a flap shorter than the probe window never
+///     reaches the routing plane);
+///   * consecutive-drop counters — 3 back-to-back frames lost at a dark
+///     interior port declare it failed immediately (data-driven fast
+///     path); any successful forward resets the count.
+/// The thresholds are named constants in network.cpp.
 /// Gilbert–Elliott burst loss is applied at injection, never at interior
 /// ports, so bursty loss cannot flap routes by construction.
 /// A declared state change bumps the route epoch and re-converges the
@@ -80,10 +81,6 @@ class Endpoint {
 /// escalation path).
 struct RoutingConfig {
   bool adaptive = false;
-  int drop_threshold = 3;
-  int down_probes = 3;
-  int up_probes = 2;
-  Time probe_interval = Time::micros(100.0);
 };
 
 struct NetworkConfig {
@@ -371,7 +368,6 @@ class Fabric {
   /// 1, 2, 3, ... sequence bit-for-bit.
   struct alignas(64) LaneState {
     std::uint64_t next_frame_id = 1;
-    Bytes peak_occupancy = Bytes::zero();
   };
 
   std::size_t lane_of_switch(int sw) const {

@@ -45,16 +45,16 @@ std::string num(std::size_t v) { return std::to_string(v); }
 
 /// Fills the digest/event fields every traced point reports.
 void capture_run(apps::SimCluster& cluster, RunMetrics& m) {
-  m.digest = cluster.tracer().digest();
-  m.trace_records = cluster.tracer().records_emitted();
-  m.events = cluster.engine().events_executed();
+  m.digest = cluster.digest();
+  m.trace_records = cluster.trace_records();
+  m.events = cluster.events_executed();
 }
 
 RunMetrics fft_sim_metrics(apps::Interconnect ic, std::size_t n,
                            std::size_t p) {
   const Time serial = core::serial_fft_total(n);
   apps::SimCluster cluster(p, ic);
-  cluster.tracer().enable(/*ring_capacity=*/256);
+  cluster.enable_tracing(/*ring_capacity=*/256);
   apps::FftRunOptions opts;
   opts.verify = false;
   const auto r = apps::run_parallel_fft(cluster, n, opts);
@@ -71,7 +71,7 @@ RunMetrics sort_sim_metrics(apps::Interconnect ic, std::size_t keys,
                             std::size_t p) {
   const Time serial = core::serial_sort_total(keys);
   apps::SimCluster cluster(p, ic);
-  cluster.tracer().enable(/*ring_capacity=*/256);
+  cluster.enable_tracing(/*ring_capacity=*/256);
   apps::SortRunOptions opts;
   opts.verify = false;
   const auto r = apps::run_parallel_sort(cluster, keys, opts);
@@ -104,7 +104,7 @@ RunMetrics sort_ablation_metrics(const model::Calibration& cal,
                                  std::size_t keys, std::size_t p,
                                  bool dma_terms = false) {
   apps::SimCluster cluster(p, apps::Interconnect::kInicIdeal, cal);
-  cluster.tracer().enable(/*ring_capacity=*/256);
+  cluster.enable_tracing(/*ring_capacity=*/256);
   apps::SortRunOptions opts;
   opts.verify = false;
   const auto r = apps::run_parallel_sort(cluster, keys, opts);
@@ -130,7 +130,7 @@ RunMetrics transpose_metrics(std::size_t n, std::size_t p) {
   const Time inic = fft_model.inic_transpose_time(n, p);
   const Bytes partition = fft_model.partition_size(n, p);
   apps::SimCluster cluster(p, apps::Interconnect::kGigabitTcp);
-  cluster.tracer().enable(/*ring_capacity=*/256);
+  cluster.enable_tracing(/*ring_capacity=*/256);
   apps::FftRunOptions opts;
   opts.verify = false;
   const auto r = apps::run_parallel_fft(cluster, n, opts);
@@ -296,7 +296,7 @@ RunMetrics topology_metrics(const net::TopologyConfig& topo, std::size_t p) {
   opts.topology = topo;
   apps::SimCluster cluster(p, apps::Interconnect::kInicIdeal,
                            model::default_calibration(), opts);
-  cluster.tracer().enable(/*ring_capacity=*/256);
+  cluster.enable_tracing(/*ring_capacity=*/256);
   const auto bar = coll::barrier(cluster);
   const auto bcast = coll::topology_broadcast(cluster, /*elements=*/128,
                                               /*seed=*/9);
@@ -506,7 +506,7 @@ RunMetrics failover_metrics(apps::CollectiveBackend backend,
     throw std::runtime_error("failover wrote a peer off as unreachable");
   }
   std::int64_t reroute_requests = 0;
-  for (const auto& s : cluster.engine().counters().snapshot()) {
+  for (const auto& s : cluster.counters_snapshot()) {
     if (s.name == "net/reroute_requests") {
       reroute_requests = s.value;
     }
@@ -618,7 +618,7 @@ RunMetrics chaos_recovery_metrics(bool fft,
   apps::SimCluster cluster(4, apps::Interconnect::kInicIdeal,
                            model::default_calibration(),
                            chaos_cluster_options());
-  cluster.tracer().enable(/*ring_capacity=*/256);
+  cluster.enable_tracing(/*ring_capacity=*/256);
   cluster.engine().set_time_budget(Time::seconds(30));
   fault::FaultInjector injector(cluster, make_plan(clean));
   Time total = Time::zero();
@@ -703,7 +703,7 @@ RunMetrics serving_metrics(bool nic, net::TopologyConfig topo, bool chaos,
       kServingClients + kServingServers,
       nic ? apps::Interconnect::kInicIdeal : apps::Interconnect::kGigabitTcp,
       model::default_calibration(), serving_cluster_options(nic, topo));
-  cluster.tracer().enable(/*ring_capacity=*/256);
+  cluster.enable_tracing(/*ring_capacity=*/256);
   cluster.engine().set_time_budget(Time::seconds(60));
   std::optional<fault::FaultInjector> injector;
   if (chaos) injector.emplace(cluster, serving_chaos_plan());

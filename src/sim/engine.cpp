@@ -6,12 +6,12 @@
 
 namespace acc::sim {
 
-void Engine::schedule_at(Time when, Callback fn) {
+void Engine::schedule_at(Time when, Callback&& fn) {
   assert(when >= now_ && "cannot schedule into the past");
   queue_.push(when, next_seq_++, std::move(fn));
 }
 
-TimerHandle Engine::schedule_cancelable_at(Time when, Callback fn) {
+TimerHandle Engine::schedule_cancelable_at(Time when, Callback&& fn) {
   assert(when >= now_ && "cannot schedule into the past");
   return TimerHandle(this,
                      queue_.push_cancelable(when, next_seq_++, std::move(fn)));

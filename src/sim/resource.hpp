@@ -72,11 +72,6 @@ class FifoResource {
     return busy / now;
   }
 
-  /// Changes the service rate (fault injection: a renegotiated or
-  /// degraded link).  Already-booked requests keep their finish times —
-  /// the new rate applies from the next enqueue.
-  void set_rate(Bandwidth rate) { rate_ = rate; }
-
   /// Changes the service rate and re-times the *unserved backlog* at the
   /// new rate, so work queued behind the rate change drains at the speed
   /// the link actually has now.  Completion times callers already

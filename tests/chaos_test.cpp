@@ -331,6 +331,25 @@ TEST(DegradedMode, NicBarrierCompletesThroughAMidCollectiveCardReset) {
   EXPECT_EQ(injector.events_fired(), 1u);
 }
 
+TEST(DegradedMode, HostBarrierTakesTheFallbackPlaneThroughACardReset) {
+  // Host-driven ranks send through SimCluster::transfer(), so tokens to
+  // and from the resetting card reroute over TCP instead of waiting the
+  // reset out on the card's retry backoff.
+  apps::ClusterOptions opts = chaos_options();
+  opts.topology = net::TopologyConfig::fat_tree(2);
+  apps::SimCluster cluster(16, apps::Interconnect::kInicIdeal,
+                           model::default_calibration(), opts);
+  cluster.engine().set_time_budget(Time::seconds(5));
+  const Time reset = Time::millis(20.0);
+  fault::FaultPlan plan;
+  plan.with_card_reset(2, Time::zero(), reset);
+  fault::FaultInjector injector(cluster, plan);
+  const auto result = coll::barrier(cluster);
+  EXPECT_TRUE(result.verified);
+  EXPECT_GT(cluster.fallback_transfers(), 0u);
+  EXPECT_LT(result.total, reset);
+}
+
 // ---------------------------------------------------------------------
 // Degraded mode in isolation: one card reset, no other faults
 // ---------------------------------------------------------------------

@@ -19,7 +19,6 @@
 #include <gtest/gtest.h>
 
 #include "apps/cluster.hpp"
-#include "collectives/backend.hpp"
 #include "collectives/collectives.hpp"
 #include "net/topology.hpp"
 

@@ -161,7 +161,7 @@ TEST(Routing, ConsecutiveDropsDeclareLinkAndRerouteTraffic) {
   const auto hop = first_interior_hop(h.net, src, dst);
   h.net.set_interior_link_state(hop.first, hop.second, false);
 
-  // drop_threshold (default 3) consecutive losses at the dark port must
+  // kDropThreshold (3) consecutive losses at the dark port must
   // declare the link failed and re-converge; later frames take the
   // alternate spine and arrive.
   const int kFrames = 8;
@@ -180,7 +180,7 @@ TEST(Routing, ConsecutiveDropsDeclareLinkAndRerouteTraffic) {
                       (path[i] == hop.second && path[i + 1] == hop.first);
     EXPECT_FALSE(dead) << "live route still crosses the declared-down link";
   }
-  // Exactly drop_threshold frames died during detection; the rest made it.
+  // Exactly kDropThreshold frames died during detection; the rest made it.
   EXPECT_EQ(h.sinks[static_cast<std::size_t>(dst)]->frames.size(),
             static_cast<std::size_t>(kFrames) - 3u);
   EXPECT_EQ(h.net.frames_dropped_link_down(), 3u);
@@ -204,13 +204,13 @@ TEST(Routing, ProbeHysteresisIgnoresShortFlapAndDeclaresLastingFailure) {
   EXPECT_TRUE(h.net.links_declared_down().empty());
 
   // Lasting failure: down and held.  The heartbeat plane alone (no data
-  // frames at all) must declare it after down_probes intervals.
+  // frames at all) must declare it after kDownProbes intervals.
   h.net.set_interior_link_state(hop.first, hop.second, false);
   h.eng.run();
   EXPECT_EQ(h.net.route_epoch(), 1u);
   EXPECT_EQ(h.net.links_declared_down().size(), 1u);
 
-  // Repair: link comes back and holds; after up_probes intervals the
+  // Repair: link comes back and holds; after kUpProbes intervals the
   // plane restores the pristine static tables.
   EXPECT_NE(h.net.route(0, 7), pristine);  // currently on the alternate
   h.net.set_interior_link_state(hop.first, hop.second, true);

@@ -113,6 +113,38 @@ TEST(Engine, EventsExecutedCounts) {
   EXPECT_EQ(eng.events_executed(), 5u);
 }
 
+/// Callable that counts its move constructions and its calls.
+struct MoveCounter {
+  int* moves;
+  int* calls;
+  MoveCounter(int* m, int* c) : moves(m), calls(c) {}
+  MoveCounter(MoveCounter&& o) noexcept : moves(o.moves), calls(o.calls) {
+    ++*moves;
+  }
+  void operator()() const { ++*calls; }
+};
+
+TEST(Engine, RelativeAndAbsoluteSchedulingMoveACallbackEquallyOften) {
+  // One engine per callback: a growing callback slab relocates the
+  // callbacks already queued, which would count against the first one.
+  int moves[4] = {};
+  int calls[4] = {};
+  Engine eng[4];
+  eng[0].schedule(Time::micros(1), MoveCounter{&moves[0], &calls[0]});
+  eng[1].schedule_at(Time::micros(1), MoveCounter{&moves[1], &calls[1]});
+  eng[2].schedule_cancelable(Time::micros(1),
+                             MoveCounter{&moves[2], &calls[2]});
+  eng[3].schedule_cancelable_at(Time::micros(1),
+                                MoveCounter{&moves[3], &calls[3]});
+  for (int i = 0; i < 4; ++i) {
+    eng[i].run();
+    EXPECT_EQ(calls[i], 1) << i;
+  }
+  EXPECT_GT(moves[1], 0);
+  EXPECT_EQ(moves[0], moves[1]);
+  EXPECT_EQ(moves[2], moves[3]);
+}
+
 // ---------------------------------------------------------------------
 // Scheduling property test: for ANY submission order, dispatch follows
 // (time, submission sequence) — time ascending, FIFO within an instant.
