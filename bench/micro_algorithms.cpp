@@ -81,7 +81,7 @@ void BM_Fft1D(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_Fft1D)->Arg(256)->Arg(512)->Arg(4096);
+BENCHMARK(BM_Fft1D)->Arg(256)->Arg(512)->Arg(2048)->Arg(4096);
 
 void BM_Fft2D(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
@@ -106,6 +106,22 @@ void BM_LocalTransposeBlocks(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_LocalTransposeBlocks)->Arg(1)->Arg(4)->Arg(16);
+
+// What one transpose round does per node on the data side: every M x M
+// block of the slab extracted transposed, in one pass.
+void BM_ExtractBlockTransposed(benchmark::State& state) {
+  const std::size_t p = static_cast<std::size_t>(state.range(0));
+  const std::size_t n = 512, m = n / p;
+  algo::Matrix<algo::Complex> slab(m, n, algo::Complex(1.0, 2.0));
+  for (auto _ : state) {
+    for (std::size_t q = 0; q < p; ++q) {
+      auto block = algo::extract_block_transposed(slab, q);
+      benchmark::DoNotOptimize(block.storage().data());
+    }
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_ExtractBlockTransposed)->Arg(1)->Arg(4)->Arg(16);
 
 }  // namespace
 

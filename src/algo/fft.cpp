@@ -52,16 +52,30 @@ void FftPlan::execute(Complex* data) const {
     const std::size_t j = bit_reverse_[i];
     if (i < j) std::swap(data[i], data[j]);
   }
-  // Iterative butterflies.
+  // Iterative butterflies over the interleaved (re, im) doubles that
+  // std::complex<double> is layout-compatible with ([complex.numbers]
+  // permits this cast).  t = w * odd is spelled out in the operation
+  // order of std::complex's inline product, so results are bit-identical
+  // to it (unless both parts of a product come out NaN: inf/NaN data or
+  // overflow), without the C99 Annex G NaN test and __muldc3 fallback
+  // that product carries.
+  double* d = reinterpret_cast<double*>(data);
+  const double* tw = reinterpret_cast<const double*>(twiddles_.data());
   for (std::size_t h = 1; h < n; h *= 2) {
-    const Complex* w = twiddles_.data() + (h - 1);
+    const double* w = tw + 2 * (h - 1);
     for (std::size_t start = 0; start < n; start += 2 * h) {
-      Complex* even = data + start;
-      Complex* odd = data + start + h;
-      for (std::size_t k = 0; k < h; ++k) {
-        const Complex t = w[k] * odd[k];
-        odd[k] = even[k] - t;
-        even[k] += t;
+      double* even = d + 2 * start;
+      double* odd = even + 2 * h;
+      for (std::size_t k = 0; k < 2 * h; k += 2) {
+        const double wr = w[k], wi = w[k + 1];
+        const double or_ = odd[k], oi = odd[k + 1];
+        const double tr = wr * or_ - wi * oi;
+        const double ti = wr * oi + wi * or_;
+        const double er = even[k], ei = even[k + 1];
+        odd[k] = er - tr;
+        odd[k + 1] = ei - ti;
+        even[k] = er + tr;
+        even[k + 1] = ei + ti;
       }
     }
   }

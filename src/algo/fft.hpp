@@ -10,6 +10,13 @@
 //   3. 1D-FFT of every row
 //   4. transpose
 // A naive O(n^2) DFT is provided as the test oracle.
+//
+// The butterflies run in plain double arithmetic over the interleaved
+// (re, im) pairs, in the same operation order as std::complex's product,
+// so every result is bit-identical to the std::complex kernel the tests
+// keep as a reference.  The distributed FFT's verification compares the
+// cluster's output against fft2d_inplace, so this kernel and the tiled
+// transposes (matrix.hpp) are most of a verified run's host time.
 #pragma once
 
 #include <complex>

@@ -4,8 +4,13 @@
 // M x N slab of an N x N matrix (M = N / P).  Matrix<T> is that slab — a
 // minimal owning container with bounds-checked element access in debug
 // builds and views cheap enough to pass around the simulator.
+//
+// The transposes here and in transpose.hpp walk kTransposeTile-square
+// tiles, so the strided side of each copy stays cache-resident; they only
+// move elements, so the result is the same as the naive loop's.
 #pragma once
 
+#include <algorithm>
 #include <cassert>
 #include <cstddef>
 #include <utility>
@@ -69,13 +74,27 @@ Matrix<T> transposed(const Matrix<T>& m) {
   return out;
 }
 
-/// In-place transpose of a square matrix.
+/// Edge of the square tiles the transposes walk: a 16 x 16 tile of
+/// complex<double> is 4 KiB, so a tile and its mirror stay in L1 while
+/// the strided side is read.
+inline constexpr std::size_t kTransposeTile = 16;
+
+/// In-place transpose of a square matrix, tile by tile: each tile above
+/// the diagonal is swapped with its mirror below it.
 template <typename T>
 void transpose_square_inplace(Matrix<T>& m) {
   assert(m.rows() == m.cols());
-  for (std::size_t r = 0; r < m.rows(); ++r) {
-    for (std::size_t c = r + 1; c < m.cols(); ++c) {
-      std::swap(m.at(r, c), m.at(c, r));
+  const std::size_t n = m.rows();
+  T* a = m.storage().data();
+  for (std::size_t rb = 0; rb < n; rb += kTransposeTile) {
+    const std::size_t r_end = std::min(rb + kTransposeTile, n);
+    for (std::size_t cb = rb; cb < n; cb += kTransposeTile) {
+      const std::size_t c_end = std::min(cb + kTransposeTile, n);
+      for (std::size_t r = rb; r < r_end; ++r) {
+        for (std::size_t c = std::max(cb, r + 1); c < c_end; ++c) {
+          std::swap(a[r * n + c], a[c * n + r]);
+        }
+      }
     }
   }
 }

@@ -9,8 +9,14 @@
 // INIC applies them to the data stream in flight (Figure 2b).  The same
 // functions implement both, so the simulated INIC produces bit-identical
 // results to the host path.
+//
+// Both paths fuse step 1 into the block extraction: extract_block_transposed
+// reads block q of the untouched slab and writes it transposed in one tiled
+// pass.  local_transpose_blocks + extract_block is the step-by-step
+// definition it is tested against.
 #pragma once
 
+#include <algorithm>
 #include <cassert>
 #include <cstddef>
 #include <utility>
@@ -45,6 +51,29 @@ void local_transpose_blocks(Matrix<T>& slab) {
       }
     }
   }
+}
+
+/// Steps 1 and 2 fused: block q of `slab` transposed, i.e.
+/// extract_block(slab, q) after local_transpose_blocks(slab), read in
+/// kTransposeTile-square tiles without touching the slab.
+template <typename T>
+Matrix<T> extract_block_transposed(const Matrix<T>& slab, std::size_t q) {
+  const std::size_t m = slab.rows();
+  assert(slab.cols() >= (q + 1) * m);
+  Matrix<T> block(m, m);
+  for (std::size_t rb = 0; rb < m; rb += kTransposeTile) {
+    const std::size_t r_end = std::min(rb + kTransposeTile, m);
+    for (std::size_t cb = 0; cb < m; cb += kTransposeTile) {
+      const std::size_t c_end = std::min(cb + kTransposeTile, m);
+      for (std::size_t r = rb; r < r_end; ++r) {
+        T* dst = block.row(r);
+        for (std::size_t c = cb; c < c_end; ++c) {
+          dst[c] = slab.at(c, q * m + r);
+        }
+      }
+    }
+  }
+  return block;
 }
 
 /// Step 3: places a received (already locally-transposed) block from

@@ -84,10 +84,10 @@ sim::Process transpose_host_tcp(SimCluster& cluster, std::size_t me,
   const Bytes block_bytes = Bytes(m * m * sizeof(Complex));
   hw::Node& node = cluster.node(me);
 
-  // Step 1: local transpose of every M x M block (host memory pass).
+  // Step 1: local transpose of every M x M block (host memory pass).  The
+  // data side folds it into the extraction of each block below.
   co_await node.cpu().compute(
       transpose_pass_time(node.cpu().memory(), slab_bytes, slab_bytes));
-  if (verify) algo::local_transpose_blocks(state.slab);
 
   // Step 2: all-to-all as P-1 *serialized pairwise exchanges* — the way
   // FFTW's MPI transpose actually communicates, and exactly why the
@@ -100,7 +100,7 @@ sim::Process transpose_host_tcp(SimCluster& cluster, std::size_t me,
   if (verify) {
     state.assembly = Matrix<Complex>(m, m * p_count);
     algo::interleave_block(state.assembly,
-                           algo::extract_block(state.slab, me), me);
+                           algo::extract_block_transposed(state.slab, me), me);
   }
 
   std::vector<proto::Message> received;
@@ -110,7 +110,7 @@ sim::Process transpose_host_tcp(SimCluster& cluster, std::size_t me,
     std::any payload;
     if (verify) {
       payload = BlockPayload{static_cast<int>(me),
-                             algo::extract_block(state.slab, dst)};
+                             algo::extract_block_transposed(state.slab, dst)};
     }
     sim::Process send = cluster.tcp(me).send_message(
         static_cast<int>(dst), block_bytes, tag, std::move(payload));
@@ -147,7 +147,6 @@ sim::Process transpose_inic(SimCluster& cluster, std::size_t me,
   // reorganizes it in flight at zero host cost.  The P-1 outbound blocks
   // are sent by send_stream (which books the host-DMA stage itself); the
   // node's own block crosses to the card and back without the network.
-  if (verify) algo::local_transpose_blocks(state.slab);
 
   std::vector<std::unique_ptr<sim::Process>> sends;
   for (std::size_t q = 0; q < p_count; ++q) {
@@ -155,7 +154,7 @@ sim::Process transpose_inic(SimCluster& cluster, std::size_t me,
     std::any payload;
     if (verify) {
       payload = BlockPayload{static_cast<int>(me),
-                             algo::extract_block(state.slab, q)};
+                             algo::extract_block_transposed(state.slab, q)};
     }
     // Routed through the cluster so a card in a fault/reset window can
     // fall back to the TCP plane (degraded mode) instead of stalling.
@@ -170,7 +169,7 @@ sim::Process transpose_inic(SimCluster& cluster, std::size_t me,
   if (verify) {
     state.assembly = Matrix<Complex>(m, m * p_count);
     algo::interleave_block(state.assembly,
-                           algo::extract_block(state.slab, me), me);
+                           algo::extract_block_transposed(state.slab, me), me);
   }
 
   std::vector<proto::Message> received;
@@ -259,12 +258,9 @@ FftRunResult run_parallel_fft(SimCluster& cluster, std::size_t n,
   }
   if (opts.verify) {
     input = random_matrix(n, opts.seed);
+    // Slab p is the contiguous rows [p*m, (p+1)*m) of the input.
     for (std::size_t p = 0; p < p_count; ++p) {
-      for (std::size_t r = 0; r < m; ++r) {
-        for (std::size_t c = 0; c < n; ++c) {
-          state[p].slab.at(r, c) = input.at(p * m + r, c);
-        }
-      }
+      std::copy_n(input.row(p * m), m * n, state[p].slab.row(0));
     }
   }
 
@@ -285,7 +281,7 @@ FftRunResult run_parallel_fft(SimCluster& cluster, std::size_t n,
   result.transpose = total - result.compute;
 
   if (opts.verify) {
-    Matrix<Complex> expected = input;
+    Matrix<Complex> expected = std::move(input);
     algo::fft2d_inplace(expected);
     double worst = 0.0;
     for (std::size_t p = 0; p < p_count; ++p) {

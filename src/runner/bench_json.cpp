@@ -66,13 +66,13 @@ void write_point(std::ostream& os, const RunRecord& r,
   }
   os << indent << "  \"digest\": \"" << digest_hex(r.metrics.digest)
      << "\",\n";
+  os << indent << "  \"trace_records\": " << r.metrics.trace_records << ",\n";
   os << indent << "  \"wall_ms\": " << number(r.wall_ms) << ",\n";
   os << indent << "  \"wall_ns\": " << r.wall_ns << ",\n";
   os << indent << "  \"events\": " << r.metrics.events << ",\n";
   os << indent << "  \"events_per_sec\": " << number(r.events_per_sec());
   // Parallel-engine fields (v4 threads and efficiency, v5 shards),
-  // emitted only for points that ran on the window scheduler so v3-era
-  // points are byte-stable.
+  // emitted only for points that ran on the window scheduler.
   if (r.metrics.threads > 1) {
     os << ",\n" << indent << "  \"threads\": " << r.metrics.threads;
   }
@@ -126,7 +126,7 @@ std::string digest_hex(std::uint64_t digest) {
 void write_bench_json(std::ostream& os, const std::vector<RunRecord>& results,
                       const BenchJsonMeta& meta) {
   os << "{\n";
-  os << "  \"schema\": \"acc-bench-results/v5\",\n";
+  os << "  \"schema\": \"acc-bench-results/v6\",\n";
   os << "  \"point_set\": \"" << escaped(meta.point_set) << "\",\n";
   os << "  \"threads\": " << meta.threads << ",\n";
   os << "  \"sweep_wall_ms\": " << number(meta.sweep_wall_ms) << ",\n";

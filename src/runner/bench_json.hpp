@@ -3,7 +3,7 @@
 // Schema (docs/BENCHMARKS.md is the authoritative description):
 //
 //   {
-//     "schema": "acc-bench-results/v5",
+//     "schema": "acc-bench-results/v6",
 //     "point_set": "full" | "reduced",
 //     "threads": <pool size>,
 //     "sweep_wall_ms": <whole-sweep wall clock>,
@@ -15,6 +15,7 @@
 //             "sim_ms":  <simulated time, ms>,
 //             "speedup": <vs serial baseline; omitted when n/a>,
 //             "digest":  "<16-hex-digit trace digest>",
+//             "trace_records": <trace records behind the digest>,
 //             "wall_ms": <point wall clock, ms>,
 //             "wall_ns": <same measurement, integer nanoseconds>,
 //             "events":  <engine events executed>,
@@ -50,8 +51,9 @@
 // scheduler).  v5 makes events_per_sec mean what it says for every
 // point — events over the point's own wall_ns — where v4 divided a
 // parallel point's events by its slowest shard's busy time, and adds the
-// per-LP-shard stats as their own optional `shards` array.  Points that
-// ran serially emit byte-identical objects to v3.  Digests are hex
+// per-LP-shard stats as their own optional `shards` array.  v6 adds
+// `trace_records` to every point that ran, so record counts compare
+// across commits like digests do.  Digests are hex
 // *strings* because a 64-bit value does not survive a round-trip
 // through JSON numbers.  Suites, points, and params keep the submission
 // order of the sweep, which SweepRunner guarantees is deterministic — so

@@ -12,10 +12,13 @@
 // Why keys and a slab: the heap orders 24-byte Keys; each key names the
 // slab slot that holds its 64-byte InlineCallback.  A sift level then
 // compares four children in 96 contiguous bytes and moves keys with
-// plain copies, while the callback is relocated exactly twice in its
-// life — into its slot at push(), out of it at pop().  Sifting whole
-// (key, callback) entries instead would touch 384 bytes per level and
-// relocate the callback through an indirect call at every level.
+// plain copies, while the callback is relocated twice in its life — into
+// its slot at push(), out of it at pop() — plus once more each time the
+// slab grows (reallocates) while it is queued.  An engine reserve()d for
+// its peak queue depth never grows the slab, so there it is exactly
+// twice.  Sifting whole (key, callback) entries instead would touch 384
+// bytes per level and relocate the callback through an indirect call at
+// every level.
 //
 // Why 4-ary: the heap is a flat vector, so a node's four children share
 // one or two cache lines; halving the tree depth trades a few extra

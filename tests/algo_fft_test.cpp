@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <numbers>
 
 #include "common/rng.hpp"
@@ -27,6 +28,62 @@ double max_abs_diff(const std::vector<Complex>& a,
     worst = std::max(worst, std::abs(a[i] - b[i]));
   }
   return worst;
+}
+
+/// The radix-2 kernel written with std::complex arithmetic, twiddles and
+/// bit reversal built as FftPlan builds them: the bit-identity reference
+/// for FftPlan::execute's plain-double butterflies.
+void complex_reference_fft(std::vector<Complex>& data,
+                           FftPlan::Direction dir) {
+  const std::size_t n = data.size();
+  std::size_t bits = 0;
+  while ((std::size_t{1} << bits) < n) ++bits;
+  for (std::size_t i = 0; i < n; ++i) {
+    std::size_t j = 0;
+    for (std::size_t b = 0; b < bits; ++b) j = (j << 1) | ((i >> b) & 1u);
+    if (i < j) std::swap(data[i], data[j]);
+  }
+  const double sign = dir == FftPlan::Direction::kForward ? -1.0 : 1.0;
+  std::vector<Complex> twiddles(n);
+  for (std::size_t h = 1; h < n; h *= 2) {
+    const double base = sign * std::numbers::pi / static_cast<double>(h);
+    for (std::size_t k = 0; k < h; ++k) {
+      const double angle = base * static_cast<double>(k);
+      twiddles[h - 1 + k] = Complex(std::cos(angle), std::sin(angle));
+    }
+  }
+  for (std::size_t h = 1; h < n; h *= 2) {
+    const Complex* w = twiddles.data() + (h - 1);
+    for (std::size_t start = 0; start < n; start += 2 * h) {
+      Complex* even = data.data() + start;
+      Complex* odd = data.data() + start + h;
+      for (std::size_t k = 0; k < h; ++k) {
+        const Complex t = w[k] * odd[k];
+        odd[k] = even[k] - t;
+        even[k] += t;
+      }
+    }
+  }
+  if (dir == FftPlan::Direction::kInverse) {
+    const double inv = 1.0 / static_cast<double>(n);
+    for (auto& x : data) x *= inv;
+  }
+}
+
+TEST(Fft, ExecuteIsBitIdenticalToComplexReferenceKernel) {
+  using Dir = FftPlan::Direction;
+  for (Dir dir : {Dir::kForward, Dir::kInverse}) {
+    for (std::size_t n = 1; n <= 4096; n *= 2) {
+      const FftPlan plan(n, dir);
+      auto signal = random_signal(n, 7000 + n);
+      auto expected = signal;
+      complex_reference_fft(expected, dir);
+      plan.execute(signal);
+      EXPECT_EQ(
+          std::memcmp(signal.data(), expected.data(), n * sizeof(Complex)), 0)
+          << "n " << n << (dir == Dir::kForward ? " forward" : " inverse");
+    }
+  }
 }
 
 TEST(Fft, RejectsNonPowerOfTwo) {

@@ -42,6 +42,22 @@ TEST(Matrix, SquareInplaceTransposeIsInvolution) {
   EXPECT_EQ(m, original);
 }
 
+TEST(Matrix, TiledSquareTransposeMatchesNaive) {
+  // Sizes below, at and around the tile edge, so partial tiles on the
+  // diagonal and off it are both covered.
+  for (std::size_t n : {1, 3, 15, 16, 17, 33, 64}) {
+    auto m = numbered(n, n);
+    const auto original = m;
+    transpose_square_inplace(m);
+    for (std::size_t r = 0; r < n; ++r) {
+      for (std::size_t c = 0; c < n; ++c) {
+        ASSERT_EQ(m.at(r, c), original.at(c, r))
+            << "n " << n << " at (" << r << ", " << c << ")";
+      }
+    }
+  }
+}
+
 TEST(Blocks, ExtractBlockPullsCorrectColumns) {
   // Slab: 2 rows x 6 cols, M = 2, 3 blocks.
   auto slab = numbered(2, 6);
@@ -64,6 +80,19 @@ TEST(Blocks, LocalTransposeTransposesEachBlockIndependently) {
   EXPECT_EQ(slab.at(0, 2), original.at(0, 2));
   EXPECT_EQ(slab.at(0, 3), original.at(1, 2));
   EXPECT_EQ(slab.at(1, 2), original.at(0, 3));
+}
+
+TEST(Blocks, ExtractBlockTransposedEqualsLocalTransposeThenExtract) {
+  const std::size_t p_count = 3;
+  for (std::size_t m : {1, 3, 16, 17, 128}) {
+    const auto slab = numbered(m, m * p_count);
+    auto stepwise = slab;
+    local_transpose_blocks(stepwise);
+    for (std::size_t q = 0; q < p_count; ++q) {
+      EXPECT_EQ(extract_block_transposed(slab, q), extract_block(stepwise, q))
+          << "m " << m << " block " << q;
+    }
+  }
 }
 
 TEST(Blocks, InterleavePlacesBlockAtProcessorOffset) {
@@ -96,9 +125,20 @@ TEST_P(DistributedTranspose, PipelineEqualsGlobalTranspose) {
   }
   const auto expected = distributed_transpose_reference(slabs);
 
-  // Run the three-step pipeline the way the cluster does: every processor
-  // locally transposes its blocks, "sends" block q to processor q, and
-  // every receiver interleaves by sender rank.
+  // Run the fused pipeline the way the cluster does: every processor
+  // "sends" block q, transposed on extraction, to processor q, and every
+  // receiver interleaves by sender rank.
+  std::vector<IntMatrix> fused(p_count, IntMatrix(m, n));
+  for (std::size_t sender = 0; sender < p_count; ++sender) {
+    for (std::size_t receiver = 0; receiver < p_count; ++receiver) {
+      interleave_block(fused[receiver],
+                       extract_block_transposed(slabs[sender], receiver),
+                       sender);
+    }
+  }
+
+  // And the three steps one by one: local transpose of every block,
+  // plain extraction, interleave.
   std::vector<IntMatrix> result(p_count, IntMatrix(m, n));
   for (auto& slab : slabs) local_transpose_blocks(slab);
   for (std::size_t sender = 0; sender < p_count; ++sender) {
@@ -110,6 +150,7 @@ TEST_P(DistributedTranspose, PipelineEqualsGlobalTranspose) {
 
   for (std::size_t p = 0; p < p_count; ++p) {
     EXPECT_EQ(result[p], expected[p]) << "processor " << p;
+    EXPECT_EQ(fused[p], expected[p]) << "processor " << p;
   }
 }
 

@@ -316,7 +316,7 @@ TEST(BenchJson, NonFiniteNumbersSerializeAsNull) {
   EXPECT_NE(json.find("\"wall_ms\": null"), std::string::npos) << json;
 }
 
-TEST(BenchJson, SchemaV5EmitsLatencyObjectOnlyWhenPresent) {
+TEST(BenchJson, SchemaV6EmitsLatencyObjectOnlyWhenPresent) {
   RunRecord with;
   with.suite = "s";
   with.name = "serving";
@@ -336,7 +336,7 @@ TEST(BenchJson, SchemaV5EmitsLatencyObjectOnlyWhenPresent) {
   std::ostringstream os;
   runner::write_bench_json(os, {with, without}, {});
   const std::string json = os.str();
-  EXPECT_NE(json.find("\"schema\": \"acc-bench-results/v5\""),
+  EXPECT_NE(json.find("\"schema\": \"acc-bench-results/v6\""),
             std::string::npos);
   EXPECT_NE(json.find("\"latency\": {\"count\": 128, \"p50_ns\": 1000, "
                       "\"p99_ns\": 9000, \"p999_ns\": 12000, "
@@ -346,6 +346,34 @@ TEST(BenchJson, SchemaV5EmitsLatencyObjectOnlyWhenPresent) {
       << json;
   // Exactly one latency object: the batch point must not emit one.
   EXPECT_EQ(json.find("\"latency\""), json.rfind("\"latency\"")) << json;
+}
+
+TEST(BenchJson, SchemaV6EmitsTraceRecordsForEveryPointThatRan) {
+  RunRecord traced;
+  traced.suite = "s";
+  traced.name = "traced";
+  traced.ok = true;
+  traced.metrics.trace_records = 4242;
+  RunRecord untraced;
+  untraced.suite = "s";
+  untraced.name = "untraced";
+  untraced.ok = true;
+  RunRecord failed;
+  failed.suite = "s";
+  failed.name = "failed";
+  failed.error = "boom";
+  std::ostringstream os;
+  runner::write_bench_json(os, {traced, untraced, failed}, {});
+  const std::string json = os.str();
+  EXPECT_NE(json.find("\"trace_records\": 4242,"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"trace_records\": 0,"), std::string::npos) << json;
+  // Two points ran; the failed one carries only its error and wall clock.
+  std::size_t count = 0;
+  for (auto at = json.find("\"trace_records\""); at != std::string::npos;
+       at = json.find("\"trace_records\"", at + 1)) {
+    ++count;
+  }
+  EXPECT_EQ(count, 2u) << json;
 }
 
 TEST(RunRecord, EventsPerSecGuardsDegenerateRecords) {
